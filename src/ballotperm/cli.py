@@ -156,6 +156,10 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--order must be >= 1, got {args.order}")
     if args.order > MAX_ORDER and not args.force:
         raise ValueError(f"--order {args.order} exceeds the cap {MAX_ORDER}; use --force")
+    if args.n_max_oracle < 0:
+        raise ValueError(f"--n-max-oracle must be >= 0, got {args.n_max_oracle}")
+    if args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     if args.n_max_oracle > MAX_ORACLE_N and not args.force:
         raise ValueError(f"--n-max-oracle {args.n_max_oracle} exceeds the cap "
                          f"{MAX_ORACLE_N}; use --force")

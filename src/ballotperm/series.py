@@ -1,118 +1,164 @@
 """Sparse truncated formal power series in t, x, y, z over exact rationals.
 
-Terms are stored as {(e_t, e_x, e_y, e_z): Fraction}.  Truncation is by the
-x-degree alone: every stored term has e_x <= order, and arithmetic on two
-series re-truncates to the smaller order.  Zero coefficients are never
-stored.  Series are immutable by convention: no operation mutates its
-inputs, and callers must not touch `.terms` in place.
+A series keeps one positive int `den` and, for each x-degree n up to its
+truncation order, one slice: a dict {(e_t, e_y, e_z): int} holding n! * den
+times the coefficient of t^e_t x^n y^e_y z^e_z.  `den` is canonical (its gcd
+with the stored ints is 1) and zeros are never stored, so equal series have
+equal storage; every catalog series has den == 1.  A product is a binomial
+convolution of slices, H_n = sum_k C(n, k) F_k G_(n-k), and geom,
+exp_series, q_of and exp_tm1 are each one online recurrence (`_recur`).
+Fraction appears only at the boundary: the constructor takes
+{(e_t, e_x, e_y, e_z): Fraction}, `.terms` builds such a dict afresh on each
+access, `coeff` returns a Fraction, and extract_* work in integers.
 
-Inversion is restricted to the geometric sum 1/(1-g): divisions appearing in
-closed forms must first be rewritten so that the denominator is 1 - g with g
-free of x-constant terms (then g**k dies at k > order).  Negative exponents
-are never stored; substitutions like t -> 1/t are realized as exponent
-transforms (`t_reverse`, `mirror_y_with_z`).
+Truncation is by the x-degree alone, and arithmetic on two series
+re-truncates to the smaller order.  Series are immutable by convention: no
+operation mutates its inputs, and series may share slices.  Inversion is
+restricted to the geometric sum 1/(1-g) with g free of x-constant terms
+(then g**k dies at k > order), so divisions in closed forms must first be
+rewritten that way.  Negative exponents are never stored; substitutions like
+t -> 1/t are exponent transforms (`t_reverse`, `mirror_y_with_z`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, gcd, lcm, prod
 from typing import Callable
 
 Monomial = tuple[int, int, int, int]
+Slice = dict[tuple[int, int, int], int]
 
 
 class MultiSeries:
     """A truncated series; build values with zero/one/monomial and arithmetic."""
 
-    __slots__ = ("order", "terms")
+    __slots__ = ("order", "den", "slices")
 
     def __init__(self, order: int, terms: dict[Monomial, Fraction] | None = None):
         if order < 0:
             raise ValueError(f"truncation order must be >= 0, got {order}")
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, c in terms.items():
-                if mono[1] <= order and c:
-                    clean[mono] = c if isinstance(c, Fraction) else Fraction(c)
-        self.order = order
-        self.terms = clean
+        scaled = {m: Fraction(c) * factorial(m[1])
+                  for m, c in (terms or {}).items() if m[1] <= order and c}
+        # the lcm of the reduced denominators is already canonical
+        self.order, self.den = order, lcm(*(c.denominator for c in scaled.values()))
+        self.slices: list[Slice] = [{} for _ in range(order + 1)]
+        for (a, n, b, c), v in scaled.items():
+            self.slices[n][(a, b, c)] = v.numerator * (self.den // v.denominator)
+
+    @property
+    def terms(self) -> dict[Monomial, Fraction]:
+        """{(e_t, e_x, e_y, e_z): Fraction}, built afresh on each access."""
+        return {(a, n, b, c): Fraction(v, factorial(n) * self.den)
+                for n, sl in enumerate(self.slices) for (a, b, c), v in sl.items()}
 
     def coeff(self, e_t: int = 0, e_x: int = 0, e_y: int = 0, e_z: int = 0) -> Fraction:
-        return self.terms.get((e_t, e_x, e_y, e_z), Fraction(0))
+        if not 0 <= e_x <= self.order:
+            return Fraction(0)
+        return Fraction(self.slices[e_x].get((e_t, e_y, e_z), 0), factorial(e_x) * self.den)
 
     def truncate(self, order: int) -> "MultiSeries":
-        if order >= self.order:
-            return self
-        return MultiSeries(order, self.terms)
+        return self if order >= self.order else zero(order) + self
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiSeries):
             return NotImplemented
-        return self.order == other.order and self.terms == other.terms
+        return (self.order, self.den, self.slices) == (other.order, other.den, other.slices)
 
-    __hash__ = None  # mutable dict inside
+    __hash__ = None  # mutable dicts inside
 
     def __neg__(self) -> "MultiSeries":
-        return MultiSeries(self.order, {m: -c for m, c in self.terms.items()})
+        return _make(self.order, self.den, [_times(sl, -1) for sl in self.slices])
 
     def __add__(self, other) -> "MultiSeries":
         if not isinstance(other, MultiSeries):
             return NotImplemented
-        order = min(self.order, other.order)
-        out = {m: c for m, c in self.terms.items() if m[1] <= order}
-        for m, c in other.terms.items():
-            if m[1] > order:
-                continue
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-        return MultiSeries(order, out)
+        den = lcm(self.den, other.den)
+        slices = []
+        for p, q in zip(self.slices, other.slices):
+            acc = _times(p, den // self.den)
+            for k, v in _times(q, den // other.den).items():
+                acc[k] = acc.get(k, 0) + v
+            slices.append(acc)
+        return _make(len(slices) - 1, den, slices)
 
     def __sub__(self, other) -> "MultiSeries":
-        if not isinstance(other, MultiSeries):
-            return NotImplemented
-        return self + (-other)
+        return self + (-other) if isinstance(other, MultiSeries) else NotImplemented
 
     def __mul__(self, other) -> "MultiSeries":
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return MultiSeries(self.order)
-            return MultiSeries(self.order, {m: c * other for m, c in self.terms.items()})
+            other = Fraction(other)
+            return _make(self.order, self.den * other.denominator,
+                         [_times(sl, other.numerator) for sl in self.slices])
         if not isinstance(other, MultiSeries):
             return NotImplemented
-        order = min(self.order, other.order)
-        a = sorted(self.terms.items(), key=lambda kv: kv[0][1])
-        b = sorted(other.terms.items(), key=lambda kv: kv[0][1])
-        out: dict[Monomial, Fraction] = {}
-        for (t1, x1, y1, z1), c1 in a:
-            if x1 > order:
-                break
-            rest = order - x1
-            for (t2, x2, y2, z2), c2 in b:
-                if x2 > rest:
-                    break
-                key = (t1 + t2, x1 + x2, y1 + y2, z1 + z2)
-                prev = out.get(key)
-                out[key] = c1 * c2 if prev is None else prev + c1 * c2
-        return MultiSeries(order, out)
+        f, g = self.slices, other.slices
+        slices = []
+        for n in range(min(self.order, other.order) + 1):
+            acc: Slice = {}
+            for k in range(n + 1):
+                if f[k] and g[n - k]:
+                    _add_product(acc, comb(n, k), f[k], g[n - k])
+            slices.append(acc)
+        return _make(len(slices) - 1, self.den * other.den, slices)
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "MultiSeries":
-        if k < 0:
-            raise ValueError("negative powers are not representable")
-        out = one(self.order)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __repr__(self) -> str:
-        head = ", ".join(f"{m}: {c}" for m, c in sorted(self.terms.items())[:4])
-        more = "" if len(self.terms) <= 4 else f", ... ({len(self.terms)} terms)"
+        terms = sorted(self.terms.items())
+        head = ", ".join(f"{m}: {c}" for m, c in terms[:4])
+        more = "" if len(terms) <= 4 else f", ... ({len(terms)} terms)"
         return f"MultiSeries(order={self.order}, {{{head}{more}}})"
+
+
+def _make(order: int, den: int, slices: list[Slice]) -> MultiSeries:
+    """Wrap integer slices as a series: drop zeros, bring den to canonical form."""
+    g = gcd(den, *(v for sl in slices for v in sl.values())) if den != 1 else 1
+    s = MultiSeries.__new__(MultiSeries)
+    s.order, s.den = order, den // g
+    s.slices = [{k: v // g for k, v in sl.items() if v} for sl in slices]
+    return s
+
+
+def _times(sl: Slice, f: int) -> Slice:
+    return {k: v * f for k, v in sl.items()}
+
+
+def _add_product(acc: Slice, scale: int, p: Slice, q: Slice) -> Slice:
+    """acc += scale * p * q, with slices read as polynomials in t, y, z."""
+    if len(p) > len(q):
+        p, q = q, p
+    get = acc.get
+    for (a1, b1, c1), v1 in p.items():
+        v1 *= scale
+        for (a2, b2, c2), v2 in q.items():
+            key = (a1 + a2, b1 + b2, c1 + c2)
+            acc[key] = get(key, 0) + v1 * v2
+    return acc
+
+
+def _recur(base: MultiSeries, a: MultiSeries, shift: int) -> MultiSeries:
+    """The F with F_n = B_n + sum_{k=1..n} C(n-shift, k-shift) A_k F_(n-k).
+
+    That is F = base + a*F for shift 0, and F' = base' + a'*F with F(x=0) =
+    base(x=0) for shift 1; a has no x-constant part.  With d = lcm of the dens,
+    H_n = d^(n+1) F_n is integral and obeys the same recurrence with B_n
+    scaled by d^n (d/base.den) and A_k by d^(k-1) (d/a.den)."""
+    order = min(base.order, a.order)
+    d = lcm(base.den, a.den)
+    bs, As = base.slices, a.slices
+    if d != 1:
+        bs = [_times(sl, d ** n * (d // base.den)) for n, sl in enumerate(bs)]
+        As = [_times(sl, d ** (k - 1) * (d // a.den)) if k else sl
+              for k, sl in enumerate(As)]
+    h: list[Slice] = []
+    for n in range(order + 1):
+        acc = dict(bs[n])
+        for k in range(1, n + 1):
+            if As[k] and h[n - k]:
+                _add_product(acc, comb(n - shift, k - shift), As[k], h[n - k])
+        h.append({key: v for key, v in acc.items() if v})
+    return _make(order, d ** (order + 1), [_times(sl, d ** (order - n)) for n, sl in enumerate(h)])
 
 
 def zero(order: int) -> MultiSeries:
@@ -131,25 +177,15 @@ def monomial(order: int, coeff, e_t: int = 0, e_x: int = 0,
 
 
 def _require_no_x_constant(s: MultiSeries, what: str) -> None:
-    if any(m[1] == 0 for m in s.terms):
+    if s.slices[0]:
         raise ValueError(f"{what} needs an argument with no x-constant part")
 
 
 def exp_tm1(w: MultiSeries) -> MultiSeries:
-    """exp((t-1)*w) = sum_k (t-1)^k w^k / k!, with (t-1)^k expanded in t.
-
-    w must have no x-constant part, so the sum is finite after truncation.
-    """
+    """exp((t-1)*w) = sum_k (t-1)^k w^k / k! = 1 + (t-1)*q(w), with (t-1)^k
+    expanded in t.  w must have no x-constant part."""
     _require_no_x_constant(w, "exp((t-1)*w)")
-    tm1 = monomial(w.order, 1, e_t=1) - one(w.order)
-    out = one(w.order)
-    term = one(w.order)
-    for k in range(1, w.order + 1):
-        term = term * w * tm1 * Fraction(1, k)
-        if not term.terms:
-            break
-        out = out + term
-    return out
+    return one(w.order) + (monomial(w.order, 1, e_t=1) - one(w.order)) * q_of(w)
 
 
 def q_of(w: MultiSeries) -> MultiSeries:
@@ -157,52 +193,31 @@ def q_of(w: MultiSeries) -> MultiSeries:
 
     This is the unit-free factor in t - exp((t-1)*w) = (t-1)*(1 - q(w)): it
     lets 1/(t - exp((t-1)*w)) be evaluated as geom(q(w)) / (t-1) without ever
-    inverting t-1.
+    inverting t-1.  It is solved from q' = w' * (1 + (t-1)*q) with q(0) = 0.
     """
     _require_no_x_constant(w, "q")
-    tm1 = monomial(w.order, 1, e_t=1) - one(w.order)
-    out = w
-    term = w
-    for k in range(2, w.order + 1):
-        term = term * w * tm1 * Fraction(1, k)
-        if not term.terms:
-            break
-        out = out + term
-    return out
+    return _recur(w, (monomial(w.order, 1, e_t=1) - one(w.order)) * w, 1)
 
 
 def geom(g: MultiSeries, max_power: int | None = None) -> MultiSeries:
-    """Geometric sum 1/(1-g) = sum_k g^k.
-
-    Without max_power, g must have no x-constant part (powers then die at the
-    truncation order).  With max_power, the sum is cut at g**max_power, which
+    """Geometric sum 1/(1-g) = sum_k g^k.  Without max_power, g must have no
+    x-constant part and the sum is solved from F = 1 + g*F.  With max_power, the sum is cut at g**max_power, which
     callers use for arguments like y*z that no x-truncation can kill.
     """
     if max_power is None:
-        if any(m[1] == 0 for m in g.terms):
-            raise ValueError("geometric inversion needs a series with no x-constant part")
-        max_power = g.order
+        _require_no_x_constant(g, "geometric inversion")
+        return _recur(one(g.order), g, 0)
     out = one(g.order)
-    term = one(g.order)
-    for _ in range(max_power):
-        term = term * g
-        if not term.terms:
-            break
-        out = out + term
+    for _ in range(max_power):  # Horner: 1 + g*(1 + g*(...))
+        out = one(g.order) + g * out
     return out
 
 
 def exp_series(s: MultiSeries) -> MultiSeries:
-    """exp(s) = sum_k s^k / k! for s with no x-constant part."""
+    """exp(s) = sum_k s^k / k! for s with no x-constant part, solved from
+    E' = s' * E with E(0) = 1."""
     _require_no_x_constant(s, "exp")
-    out = one(s.order)
-    term = one(s.order)
-    for k in range(1, s.order + 1):
-        term = term * s * Fraction(1, k)
-        if not term.terms:
-            break
-        out = out + term
-    return out
+    return _recur(one(s.order), s, 1)
 
 
 def subst_x_times(s: MultiSeries, u: MultiSeries) -> MultiSeries:
@@ -211,53 +226,50 @@ def subst_x_times(s: MultiSeries, u: MultiSeries) -> MultiSeries:
     A term c * t^a x^n y^b z^c becomes c * t^a x^n u^n y^b z^c; the x-degree
     is unchanged, so truncation commutes with the substitution.
     """
-    if any(m[0] or m[1] for m in u.terms):
+    if any(u.slices[1:]) or any(k[0] for k in u.slices[0]):
         raise ValueError("substitution factor must be a polynomial in y and z only")
-    powers = [one(s.order)]
-    out: dict[Monomial, Fraction] = {}
-    for (a, n, b, c), coef in sorted(s.terms.items(), key=lambda kv: kv[0][1]):
-        while len(powers) <= n:
-            powers.append(powers[-1] * u)
-        for (_, _, ub, uc), uval in powers[n].terms.items():
-            key = (a, n, b + ub, c + uc)
-            prev = out.get(key)
-            out[key] = coef * uval if prev is None else prev + coef * uval
-    return MultiSeries(s.order, out)
+    # slice n picks up (u.den * u)^n * u.den^(order - n) over den * u.den^order
+    power: Slice = {(0, 0, 0): 1}
+    slices = []
+    for n, sl in enumerate(s.slices):
+        slices.append(_add_product({}, u.den ** (s.order - n), sl, power))
+        power = _add_product({}, 1, power, u.slices[0])
+    return _make(s.order, s.den * u.den ** s.order, slices)
 
 
 def map_exponents(s: MultiSeries, fn: Callable[[Monomial], Monomial]) -> MultiSeries:
-    """Rebuild s with every monomial remapped by fn; coefficients accumulate."""
-    out: dict[Monomial, Fraction] = {}
-    for mono, c in s.terms.items():
-        new = fn(mono)
-        if min(new) < 0:
-            raise ValueError(f"exponent transform produced a negative exponent: {mono} -> {new}")
-        prev = out.get(new)
-        out[new] = c if prev is None else prev + c
-    return MultiSeries(s.order, out)
+    """Rebuild s with every monomial remapped by fn, which must keep the
+    x-degree; coefficients accumulate."""
+    slices = []
+    for n, sl in enumerate(s.slices):
+        acc: Slice = {}
+        for (a, b, c), v in sl.items():
+            new = fn((a, n, b, c))
+            if min(new) < 0 or new[1] != n:
+                raise ValueError("exponent transform must keep e_x and give nonnegative "
+                                 f"exponents: {(a, n, b, c)} -> {new}")
+            key = (new[0], new[2], new[3])
+            acc[key] = acc.get(key, 0) + v
+        slices.append(acc)
+    return _make(s.order, s.den, slices)
 
 
 def select(s: MultiSeries, pred: Callable[[Monomial], bool]) -> MultiSeries:
     """Keep only the monomials satisfying pred."""
-    return MultiSeries(s.order, {m: c for m, c in s.terms.items() if pred(m)})
+    return _make(s.order, s.den, [{k: v for k, v in sl.items() if pred((k[0], n, k[1], k[2]))}
+                                  for n, sl in enumerate(s.slices)])
 
 
 def t_reverse(s: MultiSeries) -> MultiSeries:
-    """Coefficient transform t^d x^n -> t^(n-d) x^n (realizes t -> 1/t, x -> t*x).
-
-    Every stored term must have e_t <= e_x.
-    """
-    out: dict[Monomial, Fraction] = {}
-    for (d, n, b, c), coef in s.terms.items():
-        if d > n:
-            raise ValueError(f"t-reversal of t^{d} x^{n} would need a negative exponent")
-        out[(n - d, n, b, c)] = coef
-    return MultiSeries(s.order, out)
+    """Coefficient transform t^d x^n -> t^(n-d) x^n (realizes t -> 1/t, x -> t*x);
+    every stored term must have e_t <= e_x."""
+    return map_exponents(s, lambda m: (m[1] - m[0], m[1], m[2], m[3]))
 
 
 def negate_x(s: MultiSeries) -> MultiSeries:
     """Substitute x -> -x: the e_x = n slice is scaled by (-1)^n."""
-    return MultiSeries(s.order, {m: (c if m[1] % 2 == 0 else -c) for m, c in s.terms.items()})
+    return _make(s.order, s.den, [_times(sl, -1) if n % 2 else sl
+                                  for n, sl in enumerate(s.slices)])
 
 
 def project_half(s: MultiSeries) -> MultiSeries:
@@ -271,90 +283,76 @@ def mirror_y_with_z(s: MultiSeries) -> MultiSeries:
     This realizes the substitution x -> x*y*z, y -> 1/y without negative
     exponents; it needs e_y <= e_x on every stored term.
     """
-    out: dict[Monomial, Fraction] = {}
-    for (d, n, j, m), coef in s.terms.items():
-        if j > n:
-            raise ValueError(f"mirror of y^{j} with x^{n} would need a negative exponent")
-        out[(d, n, n - j, m + n)] = coef
-    return MultiSeries(s.order, out)
+    return map_exponents(s, lambda m: (m[0], m[1], m[1] - m[2], m[3] + m[1]))
 
 
 def y_to_z(s: MultiSeries) -> MultiSeries:
     """Rename the variable y to z; the input must be z-free."""
-    out: dict[Monomial, Fraction] = {}
-    for (d, n, j, m), coef in s.terms.items():
-        if m:
-            raise ValueError("y -> z rename needs a z-free series")
-        out[(d, n, 0, j)] = coef
-    return MultiSeries(s.order, out)
+    if any(m for sl in s.slices for _, _, m in sl):
+        raise ValueError("y -> z rename needs a z-free series")
+    return map_exponents(s, lambda m: (m[0], m[1], 0, m[2]))
 
 
 def d_dx(s: MultiSeries) -> MultiSeries:
-    """Formal partial derivative in x; the truncation order drops by one."""
-    out = {(d, n - 1, b, c): coef * n for (d, n, b, c), coef in s.terms.items() if n}
-    return MultiSeries(max(s.order - 1, 0), out)
+    """Formal partial derivative in x; the truncation order drops by one.
+    x^n/n! differentiates to x^(n-1)/(n-1)!, so the slices shift down."""
+    return _make(max(s.order - 1, 0), s.den, s.slices[1:] or [{}])
 
 
 def d_dy(s: MultiSeries) -> MultiSeries:
     """Formal partial derivative in y."""
-    out = {(d, n, b - 1, c): coef * b for (d, n, b, c), coef in s.terms.items() if b}
-    return MultiSeries(s.order, out)
+    return _make(s.order, s.den, [{(d, b - 1, c): v * b for (d, b, c), v in sl.items() if b}
+                                  for sl in s.slices])
 
 
-def _as_count(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise ValueError(f"{what} is not an integer ({value}); series data is corrupt")
-    return value.numerator
+def _count(s: MultiSeries, n: int, key: tuple[int, int, int], weight: tuple[int, ...],
+           what: str) -> int:
+    """The coefficient at x^n and key times the factorials in weight, an integer."""
+    if n > s.order:
+        raise ValueError(f"n = {n} is beyond the truncation order {s.order}")
+    scale = factorial(n) * s.den
+    value = s.slices[n].get(key, 0) * prod(map(factorial, weight))
+    if value % scale:
+        raise ValueError(f"{what} is not an integer ({Fraction(value, scale)}); "
+                         "series data is corrupt")
+    return value // scale
 
 
 def extract_egf(s: MultiSeries, n: int, d: int) -> int:
     """Count at t^d x^n under the exponential weight n!."""
-    if n > s.order:
-        raise ValueError(f"n = {n} is beyond the truncation order {s.order}")
-    return _as_count(s.coeff(d, n) * factorial(n), f"count at (n={n}, d={d})")
+    return _count(s, n, (d, 0, 0), (n,), f"count at (n={n}, d={d})")
 
 
 def extract_first(s: MultiSeries, n: int, d: int, j: int) -> int:
     """Count at t^d x^n y^j under the first-letter weight (j-1)! (n-j)!."""
-    if n > s.order:
-        raise ValueError(f"n = {n} is beyond the truncation order {s.order}")
     if not 1 <= j <= n:
         raise ValueError(f"first-letter weight needs 1 <= j <= n, got j={j}, n={n}")
-    v = s.coeff(d, n, j) * (factorial(j - 1) * factorial(n - j))
-    return _as_count(v, f"count at (n={n}, d={d}, j={j})")
+    return _count(s, n, (d, j, 0), (j - 1, n - j), f"count at (n={n}, d={d}, j={j})")
 
 
 def extract_factor(s: MultiSeries, n: int, d: int, j: int) -> int:
     """Count at t^d x^n y^j under the factor weight (j-2)! (n-j-1)!."""
-    if n > s.order:
-        raise ValueError(f"n = {n} is beyond the truncation order {s.order}")
     if not 2 <= j <= n - 1:
         raise ValueError(f"factor weight needs 2 <= j <= n-1, got j={j}, n={n}")
-    v = s.coeff(d, n, j) * (factorial(j - 2) * factorial(n - j - 1))
-    return _as_count(v, f"count at (n={n}, d={d}, j={j})")
+    return _count(s, n, (d, j, 0), (j - 2, n - j - 1), f"count at (n={n}, d={d}, j={j})")
 
 
 def extract_quad(s: MultiSeries, n: int, d: int, i: int, j: int) -> int:
     """Count at t^d x^n y^i z^j under the pair weight (j-i-1)! (n-j+i-2)!."""
-    if n > s.order:
-        raise ValueError(f"n = {n} is beyond the truncation order {s.order}")
     if not 1 <= i < j <= n - 1:
         raise ValueError(f"pair weight needs 1 <= i < j <= n-1, got i={i}, j={j}, n={n}")
-    v = s.coeff(d, n, i, j) * (factorial(j - i - 1) * factorial(n - j + i - 2))
-    return _as_count(v, f"count at (n={n}, d={d}, i={i}, j={j})")
+    return _count(s, n, (d, i, j), (j - i - 1, n - j + i - 2),
+                  f"count at (n={n}, d={d}, i={i}, j={j})")
 
 
 def first_difference(a: MultiSeries, b: MultiSeries):
     """Lexicographically smallest monomial where a and b differ, up to the
     common truncation order; None when they agree."""
-    order = min(a.order, b.order)
-    keys = {m for m in a.terms if m[1] <= order} | {m for m in b.terms if m[1] <= order}
-    for m in sorted(keys):
-        ca = a.terms.get(m, Fraction(0))
-        cb = b.terms.get(m, Fraction(0))
-        if ca != cb:
-            return m, ca, cb
-    return None
+    diffs = [(k[0], n, k[1], k[2]) for n, (p, q) in enumerate(zip(a.slices, b.slices))
+             if p != q or a.den != b.den for k in p.keys() | q.keys()
+             if p.get(k, 0) * b.den != q.get(k, 0) * a.den]
+    m = min(diffs, default=None)
+    return None if m is None else (m, a.coeff(*m), b.coeff(*m))
 
 
 def dump(s: MultiSeries) -> str:

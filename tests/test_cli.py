@@ -112,6 +112,20 @@ def test_verify_cap(capsys):
     assert code == 2
 
 
+def test_verify_rejects_negative_oracle_length(capsys):
+    # a negative bound compares nothing, so it must not report a pass
+    code, out, err = run(capsys, "verify", "--order", "3", "--n-max-oracle", "-5")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: --n-max-oracle must be >= 0")
+
+
+def test_verify_rejects_bfile_depth_below_one(capsys):
+    code, out, err = run(capsys, "verify", "--order", "3", "--n-max-oracle", "3",
+                         "--oeis-bfile", str(FIXTURE), "--n", "0")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: --n must be >= 1")
+
+
 def test_verify_injected_mutation(capsys):
     code, out, _ = run(capsys, "verify", "--order", "4", "--n-max-oracle", "3",
                        "--inject-mutation", "ballot_gf")

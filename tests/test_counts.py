@@ -1,5 +1,8 @@
+import hashlib
+import json
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,8 @@ from ballotperm.counts import (ballot_desc_table, ballot_series, ballot_total,
                                build_catalog, double_factorial, e_count_rec,
                                eulerian, eulerian_explicit, eulerian_first,
                                l_count, p_count_partition, u_count)
+
+GOLDEN = Path(__file__).parent / "data" / "catalog_dump_sha256.json"
 
 
 def test_eulerian_first_values():
@@ -201,3 +206,17 @@ def test_catalog_determinism_and_cache():
     for name in counts.CATALOG_SERIES:
         assert getattr(a, name).terms == getattr(b, name).terms
     assert build_catalog(4) is build_catalog(4)
+
+
+def test_catalog_dumps_match_golden_hashes():
+    # sha256 of series.dump for every catalog series, pinned at orders 6, 10
+    # and 15 from the Fraction-coefficient implementation: the catalog must
+    # stay bit-identical under any change of the series kernels
+    golden = json.loads(GOLDEN.read_text())
+    assert sorted(golden) == ["10", "15", "6"]
+    for order, digests in golden.items():
+        cat = build_catalog(int(order), fresh=True)
+        assert sorted(digests) == sorted(counts.CATALOG_SERIES)
+        for name, digest in digests.items():
+            text = series.dump(getattr(cat, name))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, (order, name)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given
@@ -119,6 +120,8 @@ def test_geom_bounded_power():
     yz = monomial(ORDER, 1, e_y=1, e_z=1)
     g = geom(yz, max_power=3)
     assert g.coeff(0, 0, 3, 3) == 1 and g.coeff(0, 0, 4, 4) == 0
+    for k in range(5):
+        assert geom(yz, max_power=k).terms == {(0, 0, j, j): Fraction(1) for j in range(k + 1)}
 
 
 def test_exp_series():
@@ -235,6 +238,11 @@ def test_extract_errors():
         extract_factor(s, 3, 0, 1)
     with pytest.raises(ValueError):
         extract_quad(s, 3, 0, 2, 1)
+    for n in range(1, ORDER + 1):
+        half = monomial(ORDER, Fraction(1, 2 * factorial(n)), e_t=1, e_x=n)
+        with pytest.raises(ValueError, match="not an integer"):
+            extract_egf(half, n, 1)  # 1/(2 n!) * n! = 1/2
+        assert extract_egf(half * 2, n, 1) == 1
 
 
 def test_first_difference():
@@ -273,3 +281,114 @@ def test_ring_laws(a, b, c):
 def test_exp_identity_random(w):
     tm1 = t_() - one(ORDER)
     assert tm1 * q_of(w) + one(ORDER) == exp_tm1(w)
+
+
+# A naive reference on plain {(e_t, e_x, e_y, e_z): Fraction} dicts, sharing no
+# code with the ring: products by all pairs of terms, and the kernels by the
+# power sums their docstrings state.
+
+def ref_mul(a, b):
+    out = {}
+    for (t1, x1, y1, z1), c1 in a.items():
+        for (t2, x2, y2, z2), c2 in b.items():
+            if x1 + x2 <= ORDER:
+                key = (t1 + t2, x1 + x2, y1 + y2, z1 + z2)
+                out[key] = out.get(key, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_power_sum(w, weight, k_max):
+    """sum_{k=0..k_max} weight(k) * w^k, where weight(k) is a polynomial in t
+    given as {e_t: coefficient}."""
+    out, power = {}, {(0, 0, 0, 0): Fraction(1)}
+    for k in range(k_max + 1):
+        for e_t, c in weight(k).items():
+            term = ref_mul({(e_t, 0, 0, 0): Fraction(c)}, power)
+            for m, v in term.items():
+                out[m] = out.get(m, 0) + v
+        power = ref_mul(power, w)
+    return {m: c for m, c in out.items() if c}
+
+
+def tm1_power(k, scale):
+    """(t-1)^k * scale as {e_t: coefficient}."""
+    return {j: Fraction(comb(k, j) * (-1) ** (k - j)) * scale for j in range(k + 1)}
+
+
+# every draw carries a coefficient with denominator 7, which no n! with
+# n <= ORDER clears, so the scaled slices are never all integral
+ref_coeffs = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 7))
+
+
+@st.composite
+def rational_terms(draw, min_x=0):
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        m = draw(monos)
+        terms[(m[0], max(m[1], min_x), m[2], m[3])] = draw(ref_coeffs)
+    m = draw(monos)
+    terms[(m[0], max(m[1], min_x), m[2], m[3])] = Fraction(draw(st.sampled_from([-3, 1, 2])), 7)
+    return terms
+
+
+def canonical(s):
+    # the constructor yields the canonical storage, so a round trip through
+    # .terms must reproduce the series exactly
+    return MultiSeries(s.order, s.terms) == s
+
+
+@given(rational_terms(), rational_terms())
+def test_mul_matches_naive_reference(a, b):
+    sa, sb = MultiSeries(ORDER, a), MultiSeries(ORDER, b)
+    assert sa.den % 7 == 0 and sa.terms == a
+    prod_ = sa * sb
+    assert prod_.terms == ref_mul(a, b) and canonical(prod_)
+    assert (sb * sa).terms == ref_mul(a, b)
+
+
+@given(rational_terms(min_x=1))
+def test_kernels_match_naive_power_sums(w):
+    s = MultiSeries(ORDER, w)
+    assert s.den % 7 == 0
+    cases = [
+        (geom(s), ref_power_sum(w, lambda k: {0: 1}, ORDER)),
+        (exp_series(s), ref_power_sum(w, lambda k: {0: Fraction(1, factorial(k))}, ORDER)),
+        (q_of(s), ref_power_sum(
+            w, lambda k: tm1_power(k - 1, Fraction(1, factorial(k))) if k else {}, ORDER)),
+        (exp_tm1(s), ref_power_sum(w, lambda k: tm1_power(k, Fraction(1, factorial(k))), ORDER)),
+    ]
+    for got, want in cases:
+        assert got.terms == want and canonical(got)
+
+
+@given(rational_terms(), st.integers(0, 4))
+def test_bounded_geom_matches_naive_power_sum(g, k):
+    # g may carry an x-constant part: only the cut at g**k keeps the sum finite
+    got = geom(MultiSeries(ORDER, g), max_power=k)
+    assert got.terms == ref_power_sum(g, lambda _: {0: 1}, k) and canonical(got)
+
+
+@given(rational_terms(), st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                                         ref_coeffs, max_size=3))
+def test_subst_x_times_matches_naive_reference(terms, u_poly):
+    u = {(0, 0, b, c): v for (b, c), v in u_poly.items()}
+    u[(0, 0, 1, 1)] = Fraction(2, 7)
+    want = {}
+    for (a, n, b, c), v in terms.items():
+        power = {(0, 0, 0, 0): Fraction(1)}
+        for _ in range(n):
+            power = ref_mul(power, u)
+        for (_, _, ub, uc), pv in power.items():
+            key = (a, n, b + ub, c + uc)
+            want[key] = want.get(key, 0) + v * pv
+    got = subst_x_times(MultiSeries(ORDER, terms), MultiSeries(ORDER, u))
+    assert got.terms == {m: c for m, c in want.items() if c} and canonical(got)
+
+
+@given(rational_terms())
+def test_kernels_reject_x_constant_part(terms):
+    # monos never reach y^3, so this x-constant term cannot cancel
+    s = MultiSeries(ORDER, terms) + monomial(ORDER, Fraction(1, 7), e_y=3)
+    for kernel in (geom, exp_series, q_of, exp_tm1):
+        with pytest.raises(ValueError):
+            kernel(s)
