@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the certification suite (JSON report)")
     p.add_argument("--order", type=int, default=10, help="series truncation order")
-    p.add_argument("--n-max-oracle", type=int, default=7,
+    p.add_argument("--n-max-oracle", type=int, default=9,
                    help="largest length for brute-force cross checks")
     p.add_argument("--n", type=int, default=10,
                    help="triangle depth for the --oeis-bfile comparison")
@@ -160,6 +160,8 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--n-max-oracle must be >= 0, got {args.n_max_oracle}")
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
+    if args.n > MAX_ORDER and not args.force:
+        raise ValueError(f"--n {args.n} exceeds the cap {MAX_ORDER}; use --force")
     if args.n_max_oracle > MAX_ORACLE_N and not args.force:
         raise ValueError(f"--n-max-oracle {args.n_max_oracle} exceeds the cap "
                          f"{MAX_ORACLE_N}; use --force")

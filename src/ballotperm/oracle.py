@@ -1,9 +1,16 @@
-"""Ground-truth counts by exhaustive enumeration of S_n and its subsets.
+"""Ground-truth counts by exhaustive enumeration, in two cached walks.
 
-Enumeration order is lexicographic.  Every table is deterministic and, once
-built, must be treated as immutable (results are cached).  By default n is
-capped at 10 (10! words is the limit of desk-scale enumeration); pass
-force=True to go beyond.
+The word walk streams S_n in lexicographic order once and reads, per word,
+its descents, the minimum of its running height (ballot iff it is >= 0), its
+first letter and the two neighbours of n; it fills the A_first, b, E and
+b_factor tables.  The odd-cycle walk builds every odd order permutation of
+[n] once, cycle by cycle: each cycle opens at the smallest unused letter and
+closes only at odd length.  It fills the M, p and (odd n) l tables.  Every
+count is one visited object read off, never a formula.
+
+Tables are deterministic and, once built, must be treated as immutable
+(results are cached).  By default n is capped at 10 (10! words is the limit
+of desk-scale enumeration); pass force=True to go beyond.
 """
 
 from __future__ import annotations
@@ -11,9 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-
-from .permstat import (cycle_decompose, cyclic_ascents, cyclic_descents,
-                       descents, is_ballot, is_odd_order, m_statistic)
 
 ENUMERATION_CAP = 10
 
@@ -46,117 +50,111 @@ def _check_n(n: int, minimum: int, force: bool) -> None:
                          f"pass force=True to override")
 
 
-def _words(n: int):
-    return permutations(range(1, n + 1))
+@lru_cache(maxsize=None)
+def _word_tables(n: int) -> dict[str, CountTable]:
+    """One pass over S_n filling the A_first, b, E and b_factor tables."""
+    if n == 0:                  # the empty word is ballot with no descents
+        return {"b": CountTable("b", 0, {(0,): 1})}
+    first, ballot, e, factor = {}, {}, {}, {}
+    for w in permutations(range(1, n + 1)):
+        d = h = low = 0
+        prev = w[0]
+        for x in w:
+            if x < prev:
+                d += 1
+                h -= 1
+                if h < low:
+                    low = h
+            elif x > prev:
+                h += 1
+            prev = x
+        key = (d, w[0])
+        first[key] = first.get(key, 0) + 1
+        if low == 0:
+            ballot[d,] = ballot.get((d,), 0) + 1
+        k = w.index(n)
+        if 0 < k < n - 1:
+            a, b = w[k - 1], w[k + 1]
+            if a == 1 or b == 1:    # factor 1nj or jn1: j is the other neighbour
+                key = (d, a + b - 1)
+                e[key] = e.get(key, 0) + 1
+            if low == 0:
+                key = (d, a, b)
+                factor[key] = factor.get(key, 0) + 1
+    return {"A_first": CountTable("A_first", n, first), "b": CountTable("b", n, ballot),
+            "E": CountTable("E", n, e), "b_factor": CountTable("b_factor", n, factor)}
+
+
+@lru_cache(maxsize=None)
+def _odd_cycle_tables(n: int) -> dict[str, CountTable]:
+    """One DFS over the odd order permutations of [n] filling M, p and l.
+
+    A cycle is grown in the direction of the map i -> p_i; `d` counts its
+    descents so far, and on closing the wrap pair (last, start) is added, so
+    the cycle's M part is min(cyclic descents, cyclic ascents) (0 for a fixed
+    point).  n never opens a cycle longer than 1, so once placed its
+    predecessor `pred` is known; its successor `succ` is the next letter
+    placed, or the start when the cycle closes right after n.  0 means unset.
+    """
+    m_counts, p_counts, l_counts = {}, {}, {}
+
+    def grow(start, last, length, d, m, rest, pred, succ):
+        if length % 2:          # close the cycle here, or grow it further below
+            d_cyc = d + (last > start)
+            m_done = m + min(d_cyc, length - d_cyc)
+            succ_done = start if last == n else succ
+            if rest:
+                grow(rest[0], rest[0], 1, 0, m_done, rest[1:], pred, succ_done)
+            else:
+                m_counts[m_done,] = m_counts.get((m_done,), 0) + 1
+                if pred:
+                    key = (m_done, pred, succ_done)
+                    p_counts[key] = p_counts.get(key, 0) + 1
+                if length == n:
+                    l_counts[m_done,] = l_counts.get((m_done,), 0) + 1
+        for k, x in enumerate(rest):
+            grow(start, x, length + 1, d + (last > x), m, rest[:k] + rest[k + 1:],
+                 last if x == n else pred, x if last == n else succ)
+
+    grow(1, 1, 1, 0, 0, tuple(range(2, n + 1)), 0, 0)
+    return {"M": CountTable("M", n, m_counts), "p": CountTable("p", n, p_counts),
+            "l": CountTable("l", n, l_counts)}
 
 
 def oracle_eulerian_first(n: int, force: bool = False) -> CountTable:
     """(d, j) -> permutations of length n with d descents and first letter j."""
     _check_n(n, 1, force)
-    return _eulerian_first(n)
-
-
-@lru_cache(maxsize=None)
-def _eulerian_first(n: int) -> CountTable:
-    entries: dict[tuple[int, ...], int] = {}
-    for w in _words(n):
-        key = (descents(w), w[0])
-        entries[key] = entries.get(key, 0) + 1
-    return CountTable("A_first", n, entries)
+    return _word_tables(n)["A_first"]
 
 
 def oracle_ballot_desc(n: int, force: bool = False) -> CountTable:
     """(d,) -> ballot permutations of length n with d descents."""
     _check_n(n, 0, force)
-    return _ballot_desc(n)
-
-
-@lru_cache(maxsize=None)
-def _ballot_desc(n: int) -> CountTable:
-    entries: dict[tuple[int, ...], int] = {}
-    for w in _words(n):
-        if is_ballot(w):
-            key = (descents(w),)
-            entries[key] = entries.get(key, 0) + 1
-    return CountTable("b", n, entries)
+    return _word_tables(n)["b"]
 
 
 def oracle_odd_order_M(n: int, force: bool = False) -> CountTable:
     """(d,) -> odd order permutations of length n whose M statistic is d."""
     _check_n(n, 1, force)
-    return _odd_order_m(n)
-
-
-@lru_cache(maxsize=None)
-def _odd_order_m(n: int) -> CountTable:
-    entries: dict[tuple[int, ...], int] = {}
-    for w in _words(n):
-        cycles = cycle_decompose(w)
-        if all(len(c) % 2 for c in cycles):
-            m = sum(min(cyclic_descents(c), cyclic_ascents(c)) for c in cycles)
-            entries[(m,)] = entries.get((m,), 0) + 1
-    return CountTable("M", n, entries)
+    return _odd_cycle_tables(n)["M"]
 
 
 def oracle_E(n: int, force: bool = False) -> CountTable:
     """(d, j) -> permutations of length n with d descents having 1nj or jn1 as a factor."""
     _check_n(n, 3, force)
-    return _e_table(n)
-
-
-@lru_cache(maxsize=None)
-def _e_table(n: int) -> CountTable:
-    entries: dict[tuple[int, ...], int] = {}
-    for w in _words(n):
-        k = w.index(n)
-        if 0 < k < n - 1:
-            a, b = w[k - 1], w[k + 1]
-            if a == 1:
-                key = (descents(w), b)
-            elif b == 1:
-                key = (descents(w), a)
-            else:
-                continue
-            entries[key] = entries.get(key, 0) + 1
-    return CountTable("E", n, entries)
+    return _word_tables(n)["E"]
 
 
 def oracle_b_factor(n: int, force: bool = False) -> CountTable:
     """(d, i, j) -> ballot permutations of length n with d descents and factor inj."""
     _check_n(n, 3, force)
-    return _b_factor(n)
-
-
-@lru_cache(maxsize=None)
-def _b_factor(n: int) -> CountTable:
-    entries: dict[tuple[int, ...], int] = {}
-    for w in _words(n):
-        k = w.index(n)
-        if 0 < k < n - 1 and is_ballot(w):
-            key = (descents(w), w[k - 1], w[k + 1])
-            entries[key] = entries.get(key, 0) + 1
-    return CountTable("b_factor", n, entries)
+    return _word_tables(n)["b_factor"]
 
 
 def oracle_p_cyclic(n: int, force: bool = False) -> CountTable:
     """(d, i, j) -> odd order permutations with M = d and cyclic factor inj."""
     _check_n(n, 3, force)
-    return _p_cyclic(n)
-
-
-@lru_cache(maxsize=None)
-def _p_cyclic(n: int) -> CountTable:
-    entries: dict[tuple[int, ...], int] = {}
-    for w in _words(n):
-        if not is_odd_order(w):
-            continue
-        j = w[n - 1]            # successor of n in its cycle
-        i = w.index(n) + 1      # predecessor of n
-        if i == n or i == j:    # the cycle through n is shorter than 3
-            continue
-        key = (m_statistic(w), i, j)
-        entries[key] = entries.get(key, 0) + 1
-    return CountTable("p", n, entries)
+    return _odd_cycle_tables(n)["p"]
 
 
 def oracle_l(n: int, force: bool = False) -> CountTable:
@@ -164,23 +162,10 @@ def oracle_l(n: int, force: bool = False) -> CountTable:
     if n % 2 == 0:
         raise ValueError(f"cycle statistic tables need odd n, got {n}")
     _check_n(n, 1, force)
-    return _l_table(n)
-
-
-@lru_cache(maxsize=None)
-def _l_table(n: int) -> CountTable:
-    entries: dict[tuple[int, ...], int] = {}
-    for w in _words(n):
-        cycles = cycle_decompose(w)
-        if len(cycles) == 1 and len(cycles[0]) == n:
-            c = cycles[0]
-            key = (min(cyclic_descents(c), cyclic_ascents(c)),)
-            entries[key] = entries.get(key, 0) + 1
-    return CountTable("l", n, entries)
+    return _odd_cycle_tables(n)["l"]
 
 
 def clear_caches() -> None:
-    """Drop all cached enumeration tables (used by determinism tests)."""
-    for fn in (_eulerian_first, _ballot_desc, _odd_order_m, _e_table,
-               _b_factor, _p_cyclic, _l_table):
-        fn.cache_clear()
+    """Drop both cached walks (used by determinism tests)."""
+    _word_tables.cache_clear()
+    _odd_cycle_tables.cache_clear()

@@ -359,7 +359,7 @@ def mutate_catalog(cat: SeriesCatalog, name: str) -> SeriesCatalog:
     return replace(cat, **{name: MultiSeries(s.order, terms)})
 
 
-def run_all(order: int = 10, n_max_oracle: int = 7, mutation: str | None = None,
+def run_all(order: int = 10, n_max_oracle: int = 9, mutation: str | None = None,
             force: bool = False) -> list[CheckReport]:
     """Run the whole suite at one truncation order, sharing a single catalog.
 

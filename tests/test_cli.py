@@ -97,7 +97,7 @@ def test_verify_default_order(capsys):
     assert code == 0
     reports = json.loads(out)
     assert len(reports) == 8 and all(r["passed"] for r in reports)
-    assert all(r["order"] in (10, 7) for r in reports)
+    assert all(r["order"] in (10, 9) for r in reports)
 
 
 def test_verify_order_one_is_vacuous(capsys):
@@ -124,6 +124,17 @@ def test_verify_rejects_bfile_depth_below_one(capsys):
                          "--oeis-bfile", str(FIXTURE), "--n", "0")
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: --n must be >= 1")
+
+
+def test_verify_rejects_bfile_depth_above_cap(capsys):
+    # the triangle costs about n^4, so an unbounded depth never returns
+    code, out, err = run(capsys, "verify", "--order", "2", "--n-max-oracle", "1",
+                         "--oeis-bfile", str(FIXTURE), "--n", "3000")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: --n 3000 exceeds the cap")
+    code, out, _ = run(capsys, "verify", "--order", "2", "--n-max-oracle", "1",
+                       "--oeis-bfile", str(FIXTURE), "--n", "15", "--force")
+    assert code == 0 and json.loads(out)[-1]["name"] == "eulerian_oeis"
 
 
 def test_verify_injected_mutation(capsys):

@@ -1,4 +1,8 @@
+import hashlib
+import json
+from itertools import permutations
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,52 @@ from ballotperm.counts import ballot_total
 from ballotperm.oracle import (CountTable, oracle_E, oracle_b_factor,
                                oracle_ballot_desc, oracle_eulerian_first,
                                oracle_l, oracle_odd_order_M, oracle_p_cyclic)
+from ballotperm.permstat import (cycle_decompose, descents, has_cyclic_factor_inj,
+                                 has_factor_inj, is_ballot, is_odd_order,
+                                 m_statistic)
+
+GOLDEN = Path(__file__).parent / "data" / "oracle_sha256.json"
+
+# stat -> (oracle function, smallest n it accepts)
+TABLES = {"A_first": (oracle_eulerian_first, 1), "b": (oracle_ballot_desc, 0),
+          "M": (oracle_odd_order_M, 1), "E": (oracle_E, 3),
+          "b_factor": (oracle_b_factor, 3), "p": (oracle_p_cyclic, 3),
+          "l": (oracle_l, 1)}
+
+
+def _accepted(stat: str, n: int) -> bool:
+    return n >= TABLES[stat][1] and (stat != "l" or n % 2 == 1)
+
+
+def _naive_tables(n: int) -> dict[str, dict]:
+    """Every table by filtering S_n through the permstat predicates, one word at a time."""
+    out = {stat: {} for stat in TABLES}
+
+    def bump(stat, key):
+        out[stat][key] = out[stat].get(key, 0) + 1
+
+    pairs = [(i, j) for i in range(1, n) for j in range(1, n) if i != j]
+    for w in permutations(range(1, n + 1)):
+        d = descents(w)
+        if n:
+            bump("A_first", (d, w[0]))
+        for j in range(2, n):
+            if has_factor_inj(w, 1, j) or has_factor_inj(w, j, 1):
+                bump("E", (d, j))
+        if is_ballot(w):
+            bump("b", (d,))
+            for i, j in pairs:
+                if has_factor_inj(w, i, j):
+                    bump("b_factor", (d, i, j))
+        if n and is_odd_order(w):
+            m = m_statistic(w)
+            bump("M", (m,))
+            if len(cycle_decompose(w)) == 1:
+                bump("l", (m,))
+            for i, j in pairs:
+                if has_cyclic_factor_inj(w, i, j):
+                    bump("p", (m, i, j))
+    return out
 
 
 def test_count_table_access():
@@ -123,3 +173,35 @@ def test_determinism():
     before = dict(oracle_ballot_desc(4).entries)
     oracle.clear_caches()
     assert oracle_ballot_desc(4).entries == before
+    for stat, (fn, _) in TABLES.items():
+        first = fn(5)
+        oracle.clear_caches()
+        again = fn(5)
+        assert again is not first, stat        # rebuilt, not served from a cache
+        assert again.entries == first.entries, stat
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_walks_match_naive_reference(n):
+    naive = _naive_tables(n)
+    for stat, (fn, _) in TABLES.items():
+        if _accepted(stat, n):
+            assert fn(n).entries == naive[stat], (stat, n)
+
+
+def test_tables_match_golden_hashes():
+    # recorded from the per-table enumerations that the two walks replaced
+    golden = json.loads(GOLDEN.read_text())
+    assert set(golden) == set(TABLES)
+    for stat, (fn, _) in TABLES.items():
+        want_ns = [n for n in range(10) if _accepted(stat, n)]
+        assert sorted(map(int, golden[stat])) == want_ns, stat
+        for n in want_ns:
+            got = hashlib.sha256(repr(fn(n).sorted_items()).encode()).hexdigest()
+            assert got == golden[stat][str(n)], (stat, n)
+
+
+def test_word_tables_skip_the_odd_cycle_walk():
+    oracle.clear_caches()
+    oracle_ballot_desc(6), oracle_eulerian_first(6), oracle_E(6)
+    assert oracle._odd_cycle_tables.cache_info().currsize == 0
