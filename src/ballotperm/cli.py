@@ -25,6 +25,13 @@ MAX_ORDER = 14
 MAX_ORACLE_N = oracle.ENUMERATION_CAP
 
 TABLE_STATS = ("A", "A_first", "U", "E", "b", "l", "p", "b_factor")
+# The largest --n that `table` accepts even with --force, so that no request
+# runs without bound.  A and l stop short of n = 1558, where the counts pass
+# Python's default 4300-digit limit for int-to-str; A_first and U at 300 take
+# about 4 s but 300 MB (memory grows as n^3); E, p and b take 20 to 30 s at
+# the ceiling on a 2-vCPU Xeon with Python 3.11; b_factor is brute force.
+FORCE_CEILING = {"A": 1500, "A_first": 300, "U": 300, "E": 100, "b": 250, "l": 1500,
+                 "p": 115, "b_factor": MAX_ORACLE_N}
 ORACLE_STATS = ("A_first", "b", "M", "E", "b_factor", "p", "l")
 
 
@@ -131,6 +138,9 @@ def _cmd_table(args) -> int:
         raise ValueError(f"--n must be nonnegative, got {args.n}")
     if args.n > MAX_ORDER and not args.force:
         raise ValueError(f"--n {args.n} exceeds the cap {MAX_ORDER}; use --force")
+    if args.n > FORCE_CEILING[args.stat]:
+        raise ValueError(f"--n {args.n} exceeds the ceiling "
+                         f"{FORCE_CEILING[args.stat]} for --stat {args.stat}")
     entries = _table_entries(args.stat, args.n, args.force)
     _write(_render_table(args.stat, args.n, entries, args.format), args.out)
     return 0

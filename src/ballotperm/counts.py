@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial
 
 from . import series
@@ -19,29 +20,50 @@ from .oracle import CountTable
 from .series import MultiSeries
 
 
+_FIRST_ROWS: dict[int, list[list[int]]] = {}  # n -> row[d][j - 1] = A(n, d, j)
+_ODD_ROWS: list[list[int]] = []               # m -> row[D] = _odd_cycle_arrangements(m, D)
+
+
+def _first_row(n: int) -> list[list[int]]:
+    """Row n >= 1 of the first-letter triangle, built upward from the largest
+    cached row below it.  The second letter i of the standardized tail lies
+    below j (a descent) or not, so A(m, d, j) = sum_{i<j} A(m-1, d-1, i) +
+    sum_{i>=j} A(m-1, d, i), a running sum over j that starts at sum_i A(m-1, d, i)."""
+    if n not in _FIRST_ROWS:
+        m = max((k for k in _FIRST_ROWS if k < n), default=1)
+        row = _FIRST_ROWS.get(m, [[1]])
+        for m in range(m + 1, n + 1):
+            pad = [[0] * (m - 1)]
+            row = [list(accumulate([sum(hi)] + [a - b for a, b in zip(lo, hi)]))
+                   for lo, hi in zip(pad + row, row + pad)]
+        _FIRST_ROWS[n] = row
+    return _FIRST_ROWS[n]
+
+
 @lru_cache(maxsize=None)
 def eulerian_first(n: int, d: int, j: int) -> int:
-    """Permutations of length n with d descents and first letter j.
-
-    Out-of-range indices count zero permutations, which is exactly what the
-    recursion over the second letter needs at its boundary.
-    """
+    """Permutations of length n with d descents and first letter j; indices
+    out of range count zero permutations."""
     if n < 1 or not 0 <= d <= n - 1 or not 1 <= j <= n:
         return 0
-    if n == 1:
-        return 1
-    return (sum(eulerian_first(n - 1, d - 1, i) for i in range(1, j))
-            + sum(eulerian_first(n - 1, d, i) for i in range(j, n)))
+    return _first_row(n)[d][j - 1]
+
+
+@lru_cache(maxsize=None)
+def _eulerian_row(n: int) -> tuple[int, ...]:
+    # A(m, d) = (d+1) A(m-1, d) + (m-d) A(m-1, d-1); only the last row is kept
+    row = [1]
+    for m in range(2, n + 1):
+        row = [(d + 1) * b + (m - d) * a for d, (a, b) in enumerate(zip([0] + row, row + [0]))]
+    return tuple(row)
 
 
 @lru_cache(maxsize=None)
 def eulerian(n: int, d: int) -> int:
     """Eulerian number: permutations of length n with d descents; eulerian(0, 0) = 1."""
-    if n == 0:
-        return 1 if d == 0 else 0
-    if n < 0 or d < 0 or d >= n:
+    if n < 0 or d < 0 or d >= max(n, 1):
         return 0
-    return sum(eulerian_first(n, d, j) for j in range(1, n + 1))
+    return _eulerian_row(n)[d]
 
 
 def eulerian_explicit(n: int, d: int) -> int:
@@ -65,8 +87,22 @@ def u_count(n: int, d: int, j: int) -> int:
     return eulerian_first(n, n - d - 1, j) + eulerian_first(n, d - 1, j)
 
 
-def _choose(n: int, k: int) -> int:
-    return comb(n, k) if 0 <= k <= n else 0
+@lru_cache(maxsize=None)
+def _piece_weights(n: int, j: int) -> tuple[tuple[int, int, int], ...]:
+    """(l, k, W(l, k)) for the length-l piece next to n on j's side of a
+    factor 1nj or jn1 (of the word for E, of a cycle for p).  The piece holds
+    u letters below j and l-1-u above, arranged as a symmetrized first-letter
+    count:  W(l, k) = sum_u C(j-2, u) C(n-j-1, l-1-u) U(l, k, u+1), free of d."""
+    out = []
+    for l in range(1, n - 1):
+        splits = [(u + 1, comb(j - 2, u) * comb(n - j - 1, l - 1 - u))
+                  for u in range(max(0, l + j - n), min(j - 1, l))]
+        # k spans 0..l inclusive: the u_count term A(l, k-1, u+1) is live up
+        # to k = l (the j-piece may be strictly decreasing)
+        for k in range(l + 1):
+            if w := sum(c * u_count(l, k, i) for i, c in splits):
+                out.append((l, k, w))
+    return tuple(out)
 
 
 def e_count_rec(n: int, d: int, j: int) -> int:
@@ -78,20 +114,8 @@ def e_count_rec(n: int, d: int, j: int) -> int:
     trailing terms handle the word starting with 1nj and cancel the boundary
     double count.
     """
-    total = 0
-    for l in range(1, n - 1):
-        # k spans 0..l inclusive: the u_count term A(l, k-1, u+1) is live up
-        # to k = l (the j-piece may be strictly decreasing)
-        for k in range(l + 1):
-            rest = eulerian(n - l - 2, d - k - 1)
-            if rest == 0:
-                continue
-            for u in range(j - 1):
-                w = _choose(j - 2, u) * _choose(n - j - 1, l - 1 - u)
-                if w:
-                    total += w * rest * u_count(l, k, u + 1)
-    total += eulerian_first(n - 2, d - 1, j - 1) - eulerian_first(n - 2, d - 2, j - 1)
-    return total
+    total = sum(w * eulerian(n - l - 2, d - k - 1) for l, k, w in _piece_weights(n, j))
+    return total + eulerian_first(n - 2, d - 1, j - 1) - eulerian_first(n - 2, d - 2, j - 1)
 
 
 def l_count(n: int, d: int) -> int:
@@ -157,34 +181,22 @@ def ballot_desc_table(max_n: int) -> CountTable:
     return CountTable("b", max_n, entries)
 
 
-@lru_cache(maxsize=None)
 def _odd_cycle_arrangements(m: int, total_m: int) -> int:
     """Ways to arrange a labeled m-set into disjoint odd cycles with M summing
-    to total_m, by summing over multisets of (length, M) cycle types."""
+    to total_m.  The cycle through the smallest letter has odd length nu:
+    a(m, D) = sum C(m-1, nu-1) l(nu, delta) a(m-nu, D-delta)."""
     if m < 0 or total_m < 0:
         return 0
-    pairs = [(nu, de, l_count(nu, de))
-             for nu in range(m if m % 2 else m - 1, 0, -2)
-             for de in range((nu - 1) // 2, -1, -1) if l_count(nu, de)]
-
-    def over_types(idx: int, m_left: int, d_left: int) -> Fraction:
-        if m_left == 0:
-            return Fraction(1) if d_left == 0 else Fraction(0)
-        if idx == len(pairs):
-            return Fraction(0)
-        nu, de, lv = pairs[idx]
-        acc = over_types(idx + 1, m_left, d_left)   # multiplicity 0
-        lam = 1
-        while lam * nu <= m_left and lam * de <= d_left:
-            weight = Fraction(lv ** lam, factorial(nu) ** lam * factorial(lam))
-            acc += weight * over_types(idx + 1, m_left - lam * nu, d_left - lam * de)
-            lam += 1
-        return acc
-
-    value = factorial(m) * over_types(0, m, total_m)
-    if value.denominator != 1:
-        raise ValueError(f"cycle-type sum for ({m}, {total_m}) is not an integer: {value}")
-    return value.numerator
+    while len(_ODD_ROWS) <= m:
+        k = len(_ODD_ROWS)
+        row = [int(k == 0)] + [0] * (k // 2)
+        for nu in range(1, k + 1, 2):
+            for delta in range((nu - 1) // 2 + 1):
+                if lv := comb(k - 1, nu - 1) * l_count(nu, delta):
+                    for rest, v in enumerate(_ODD_ROWS[k - nu]):
+                        row[delta + rest] += lv * v
+        _ODD_ROWS.append(row)
+    return _ODD_ROWS[m][total_m] if 2 * total_m <= m else 0
 
 
 def p_count_partition(n: int, d: int, j: int) -> int:
@@ -194,27 +206,12 @@ def p_count_partition(n: int, d: int, j: int) -> int:
     The cycle through the letters 1, n, j has odd length m1 + m2 + 3, where m1
     of its other letters lie below j and m2 above; its arrangements are a
     symmetrized first-letter count, and the remaining letters form odd cycles
-    in every way that spends the leftover M.
+    in every way that spends the leftover M.  The rest of that cycle read from
+    j is the piece of _piece_weights with l = m1 + m2 + 1, of which only odd l
+    and the low half 2k < l count cycle arrangements.
     """
-    total = 0
-    for m1 in range(j - 1):
-        for m2 in range(n - j):
-            if (m1 + m2) % 2:
-                continue
-            rest = n - 3 - m1 - m2
-            if rest < 0:
-                continue
-            w = comb(j - 2, m1) * comb(n - j - 1, m2)
-            if w == 0:
-                continue
-            for d0 in range((m1 + m2 + 2) // 2 + 1):
-                if d0 > d:
-                    break
-                uval = u_count(m1 + m2 + 1, d0 - 1, m1 + 1)
-                if uval == 0:
-                    continue
-                total += w * uval * _odd_cycle_arrangements(rest, d - d0)
-    return total
+    return sum(w * _odd_cycle_arrangements(n - l - 2, d - k - 1)
+               for l, k, w in _piece_weights(n, j) if l % 2 and 2 * k < l)
 
 
 @dataclass(frozen=True)
@@ -324,7 +321,10 @@ def _build_catalog(order: int) -> SeriesCatalog:
 
 def clear_caches() -> None:
     """Drop all memo tables and cached catalogs."""
+    _FIRST_ROWS.clear()
     eulerian_first.cache_clear()
+    _eulerian_row.cache_clear()
     eulerian.cache_clear()
-    _odd_cycle_arrangements.cache_clear()
+    _piece_weights.cache_clear()
+    _ODD_ROWS.clear()
     _CATALOG_CACHE.clear()

@@ -1,9 +1,10 @@
 import csv
 import io
 import json
+from math import factorial
 from pathlib import Path
 
-from ballotperm.cli import main
+from ballotperm.cli import FORCE_CEILING, main
 
 FIXTURE = Path(__file__).parent / "data" / "b008292.txt"
 
@@ -63,6 +64,25 @@ def test_unknown_stat_is_usage_error(capsys):
 def test_table_cap(capsys):
     code, _, err = run(capsys, "table", "--stat", "b", "--n", "15")
     assert code == 2 and "force" in err
+
+
+def test_table_force_ceiling(capsys, tmp_path):
+    # no request runs without bound: past the per-stat ceiling even --force
+    # gets a one-line error (A_first at 1100 used to overflow the recursion)
+    code, out, err = run(capsys, "table", "--stat", "A_first", "--n", "1100", "--force")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "300" in err
+    for stat, ceiling in FORCE_CEILING.items():
+        code, _, err = run(capsys, "table", "--stat", stat, "--n", str(ceiling + 1), "--force")
+        assert code == 2 and "ceiling" in err, stat
+    n = FORCE_CEILING["l"] - 1
+    out_path = tmp_path / "l.csv"
+    code, _, _ = run(capsys, "table", "--stat", "l", "--n", str(n), "--force",
+                     "--format", "csv", "--out", str(out_path))
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out_path.read_text())))
+    assert len(rows) == (n - 1) // 2
+    assert sum(int(row[2]) for row in rows) == factorial(n - 1)
 
 
 def test_table_l_even_n_domain_error(capsys):

@@ -6,13 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from ballotperm import counts, oracle, series
+from ballotperm import cli, counts, oracle, series
 from ballotperm.counts import (ballot_desc_table, ballot_series, ballot_total,
                                build_catalog, double_factorial, e_count_rec,
                                eulerian, eulerian_explicit, eulerian_first,
                                l_count, p_count_partition, u_count)
 
 GOLDEN = Path(__file__).parent / "data" / "catalog_dump_sha256.json"
+TABLE_GOLDEN = Path(__file__).parent / "data" / "table_sha256.json"
 
 
 def test_eulerian_first_values():
@@ -40,6 +41,14 @@ def test_first_letter_one_drops_to_plain_eulerian():
             assert eulerian_first(n, d, 1) == eulerian(n - 1, d)
 
 
+def test_first_letter_rows_sum_to_eulerian():
+    # the triangle rows and the Eulerian row come from different recurrences
+    for n in range(61):
+        for d in range(max(1, n)):
+            total = sum(eulerian_first(n, d, j) for j in range(1, n + 1))
+            assert total == (eulerian(n, d) if n else 0), (n, d)
+
+
 def test_no_descent_forces_increasing_word():
     for n in range(1, 8):
         for j in range(1, n + 1):
@@ -56,9 +65,9 @@ def test_eulerian():
 
 
 def test_eulerian_explicit_agrees():
-    for n in range(0, 10):
-        for d in range(max(1, n)):
-            assert eulerian_explicit(n, d) == eulerian(n, d)
+    for n in range(0, 201):
+        for d in range(-1, n + 1):
+            assert eulerian_explicit(n, d) == eulerian(n, d), (n, d)
 
 
 def test_u_count():
@@ -141,6 +150,46 @@ def test_ballot_desc_table():
             assert t[(n, d)] > 0
 
 
+def _odd_cycle_multisets(m, total_m):
+    # reference for counts._odd_cycle_arrangements: sum over multisets of
+    # (length, M) cycle types, in Fraction, of the exponential formula's terms
+    pairs = [(nu, de, l_count(nu, de))
+             for nu in range(m if m % 2 else m - 1, 0, -2)
+             for de in range((nu - 1) // 2, -1, -1) if l_count(nu, de)]
+
+    def over_types(idx, m_left, d_left):
+        if m_left == 0:
+            return Fraction(1) if d_left == 0 else Fraction(0)
+        if idx == len(pairs):
+            return Fraction(0)
+        nu, de, lv = pairs[idx]
+        acc = over_types(idx + 1, m_left, d_left)   # multiplicity 0
+        lam = 1
+        while lam * nu <= m_left and lam * de <= d_left:
+            weight = Fraction(lv ** lam, factorial(nu) ** lam * factorial(lam))
+            acc += weight * over_types(idx + 1, m_left - lam * nu, d_left - lam * de)
+            lam += 1
+        return acc
+
+    value = factorial(m) * over_types(0, m, total_m)
+    assert value.denominator == 1
+    return value.numerator
+
+
+def test_odd_cycle_arrangements_match_multiset_sum():
+    for m in range(15):
+        for total_m in range(-1, m + 2):
+            assert (counts._odd_cycle_arrangements(m, total_m)
+                    == _odd_cycle_multisets(m, total_m)), (m, total_m)
+    assert counts._odd_cycle_arrangements(-1, 0) == 0
+
+
+def test_odd_cycle_arrangements_total_ballot():
+    # odd order permutations of [m] are equinumerous with ballot ones
+    for m in range(41):
+        assert sum(counts._odd_cycle_arrangements(m, d) for d in range(m + 1)) == ballot_total(m)
+
+
 def test_p_count_partition_values():
     assert p_count_partition(3, 1, 2) == 1
     for n in range(3, 7):
@@ -220,3 +269,39 @@ def test_catalog_dumps_match_golden_hashes():
         for name, digest in digests.items():
             text = series.dump(getattr(cat, name))
             assert hashlib.sha256(text.encode()).hexdigest() == digest, (order, name)
+
+
+def test_tables_match_golden_hashes():
+    # sha256 of the `table` JSON for A, A_first, U, E, p and l at every n <= 14
+    # and at one larger size each, recorded from the recursive first-letter
+    # route and the Fraction multiset sum: every table must stay byte-identical
+    golden = json.loads(TABLE_GOLDEN.read_text())
+    assert sorted(golden) == sorted(["A", "A_first", "U", "E", "p", "l"])
+    for stat, digests in golden.items():
+        for n, digest in digests.items():
+            text = cli._render_table(stat, int(n), cli._table_entries(stat, int(n), False),
+                                     "json")
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, (stat, n)
+
+
+def _memo_sizes():
+    lru = {name: fn.cache_info().currsize for name, fn in vars(counts).items()
+           if hasattr(fn, "cache_info")}
+    return lru, {name: len(getattr(counts, name))
+                 for name in ("_FIRST_ROWS", "_ODD_ROWS", "_CATALOG_CACHE")}
+
+
+def test_clear_caches_drops_every_memo():
+    def tables():
+        return {stat: cli._table_entries(stat, n, False)
+                for stat, n in (("A", 14), ("A_first", 14), ("U", 14), ("E", 14), ("p", 14))}
+
+    before = tables()
+    build_catalog(4)
+    lru, held = _memo_sizes()
+    assert {"eulerian_first", "eulerian"} <= set(lru)
+    assert all(lru.values()) and all(held.values())
+    counts.clear_caches()
+    lru, held = _memo_sizes()
+    assert not any(lru.values()) and not any(held.values()), (lru, held)
+    assert tables() == before
