@@ -8,7 +8,8 @@ Subcommands:
   dump     print the monomials of one catalog series
 
 Counts are always rendered as exact decimal strings.  Exit codes: 0 success
-or all checks passed, 1 a verification mismatch, 2 usage or domain errors.
+or all checks passed, 1 a verification mismatch or a check that compared
+nothing, 2 usage or domain errors.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from . import counts, oracle, series, verify
 MAX_ORDER = 14
 MAX_ORACLE_N = oracle.ENUMERATION_CAP
 
-TABLE_STATS = ("A", "A_first", "U", "E", "b", "l", "p", "b_factor")
 # The largest --n that `table` accepts even with --force, so that no request
 # runs without bound.  A and l stop short of n = 1558, where the counts pass
 # Python's default 4300-digit limit for int-to-str; A_first and U at 300 take
@@ -32,7 +32,12 @@ TABLE_STATS = ("A", "A_first", "U", "E", "b", "l", "p", "b_factor")
 # the ceiling on a 2-vCPU Xeon with Python 3.11; b_factor is brute force.
 FORCE_CEILING = {"A": 1500, "A_first": 300, "U": 300, "E": 100, "b": 250, "l": 1500,
                  "p": 115, "b_factor": MAX_ORACLE_N}
-ORACLE_STATS = ("A_first", "b", "M", "E", "b_factor", "p", "l")
+TABLE_STATS = tuple(FORCE_CEILING)
+# Function names, looked up in `oracle` at call time so that a wrapper put on
+# the module (a tracer, a test double) is the one that runs.
+ORACLE_STATS = {"A_first": "oracle_eulerian_first", "b": "oracle_ballot_desc",
+                "M": "oracle_odd_order_M", "E": "oracle_E", "b_factor": "oracle_b_factor",
+                "p": "oracle_p_cyclic", "l": "oracle_l"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,16 +152,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    fn = {
-        "A_first": oracle.oracle_eulerian_first,
-        "b": oracle.oracle_ballot_desc,
-        "M": oracle.oracle_odd_order_M,
-        "E": oracle.oracle_E,
-        "b_factor": oracle.oracle_b_factor,
-        "p": oracle.oracle_p_cyclic,
-        "l": oracle.oracle_l,
-    }[args.stat]
-    table = fn(args.n, force=args.force)
+    table = getattr(oracle, ORACLE_STATS[args.stat])(args.n, force=args.force)
     _write(_render_table(args.stat, args.n, table.sorted_items(), args.format), args.out)
     return 0
 

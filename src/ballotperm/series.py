@@ -355,6 +355,12 @@ def first_difference(a: MultiSeries, b: MultiSeries):
     return None if m is None else (m, a.coeff(*m), b.coeff(*m))
 
 
+def n_monomials(*ss: MultiSeries) -> int:
+    """How many monomials are stored in at least one of the series, up to
+    their common truncation order."""
+    return sum(len(set().union(*sls)) for sls in zip(*(s.slices for s in ss)))
+
+
 def dump(s: MultiSeries) -> str:
     """One line per monomial, 't^a x^b y^c z^d : num/den', ascending lexicographically."""
     return "\n".join(f"t^{a} x^{b} y^{c} z^{d} : {c0.numerator}/{c0.denominator}"

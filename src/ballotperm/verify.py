@@ -1,11 +1,15 @@
 """The certification suite: every counting identity checked along independent
 routes, coefficient by coefficient, in exact rational arithmetic.
 
-Each check returns a CheckReport; on failure it carries the lexicographically
-smallest discrepant index with both values.  All comparisons are exact
-equality, never tolerances.  Checks build the series catalog one order above
-their reporting order so that identities involving formal derivatives are
-exact at the reported order.
+A check is a lazy sequence of stages, each comparing two routes: the rows of an
+index grid in lexicographic order, two whole series, or the support of one
+series.  The first discrepancy ends the check, and its CheckReport carries the
+smallest discrepant index with both values and `compared`, the number of
+entries compared: grid rows up to the discrepancy, and the monomials stored in
+the series.  A check that compared nothing does not pass.  All comparisons are
+exact equality, never tolerances.  Checks build the series catalog one order
+above their reporting order so that identities involving formal derivatives
+are exact at the reported order.
 """
 
 from __future__ import annotations
@@ -13,12 +17,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Callable, Iterable, Iterator
 
 from . import counts, oracle, series
 from .counts import SeriesCatalog
-from .series import MultiSeries
+from .series import Monomial, MultiSeries
 
 Discrepancy = tuple[tuple, object, object] | None
+Stage = tuple[Discrepancy, int]  # the first discrepancy, the entries compared
 
 
 @dataclass
@@ -30,14 +36,51 @@ class CheckReport:
     passed: bool
     first_discrepancy: Discrepancy = None
     elapsed: float = 0.0
+    compared: int = 0
 
     def to_json_dict(self) -> dict:
         out = {"name": self.name, "order": self.order, "passed": self.passed,
-               "elapsed_ms": round(self.elapsed * 1000, 3)}
+               "compared": self.compared, "elapsed_ms": round(self.elapsed * 1000, 3)}
         if self.first_discrepancy is not None:
             idx, lhs, rhs = self.first_discrepancy
             out["discrepancy"] = {"index": list(idx), "lhs": str(lhs), "rhs": str(rhs)}
         return out
+
+
+def _first_mismatch(rows: Iterable[tuple[tuple, object, object]]) -> Stage:
+    """The first (index, got, want) row with got != want, and the number of
+    rows compared up to and including it.  Row generators fetch an oracle
+    table by `for table in [oracle.xxx(n)]`, once per n, when the rows reach n."""
+    compared = 0
+    for compared, (index, got, want) in enumerate(rows, 1):
+        if got != want:
+            return (index, got, want), compared
+    return None, compared
+
+
+def _same(a: MultiSeries, b: MultiSeries) -> Stage:
+    """Series equality up to the common truncation order."""
+    return series.first_difference(a, b), series.n_monomials(a, b)
+
+
+def _support(s: MultiSeries, outside: Callable[[Monomial], bool]) -> Stage:
+    """No stored monomial of s lies outside the support; the smallest one that
+    does is reported against 0."""
+    bad = series.select(s, outside)
+    return series.first_difference(bad, series.zero(s.order)), series.n_monomials(s)
+
+
+def _report(name: str, order: int, stages: Iterator[Stage]) -> CheckReport:
+    """Run the stages until one finds a discrepancy."""
+    start = time.perf_counter()
+    disc, compared = None, 0
+    for mismatch, count in stages:
+        compared += count
+        if mismatch is not None:
+            disc = mismatch
+            break
+    return CheckReport(name, order, disc is None and compared > 0, disc,
+                       time.perf_counter() - start, compared)
 
 
 def _catalog(order: int, catalog: SeriesCatalog | None) -> SeriesCatalog:
@@ -46,115 +89,68 @@ def _catalog(order: int, catalog: SeriesCatalog | None) -> SeriesCatalog:
 
 def check_ballot_totals(order: int = 14, catalog: SeriesCatalog | None = None) -> CheckReport:
     """Row sums of the exponential ballot series match the double-factorial product."""
-    start = time.perf_counter()
-    b = catalog.ballot_gf if catalog is not None else counts.ballot_series(order)
-    disc: Discrepancy = None
-    for n in range(order + 1):
-        got = sum(series.extract_egf(b, n, d) for d in range(max(1, (n - 1) // 2 + 1)))
-        want = counts.ballot_total(n)
-        if got != want:
-            disc = ((n,), got, want)
-            break
-    return CheckReport("ballot_totals", order, disc is None, disc,
-                       time.perf_counter() - start)
+    def stages():
+        b = catalog.ballot_gf if catalog is not None else counts.ballot_series(order)
+        yield _first_mismatch(
+            ((n,), sum(series.extract_egf(b, n, d) for d in range(max(1, (n - 1) // 2 + 1))),
+             counts.ballot_total(n))
+            for n in range(order + 1))
+    return _report("ballot_totals", order, stages())
 
 
 def check_m_equidistribution(n_max: int = 8, force: bool = False) -> CheckReport:
     """Ballot permutations by descents and odd order permutations by the M
     statistic are equinumerous, by double enumeration."""
-    start = time.perf_counter()
-    disc: Discrepancy = None
-    for n in range(1, n_max + 1):
-        lhs = oracle.oracle_ballot_desc(n, force=force)
-        rhs = oracle.oracle_odd_order_M(n, force=force)
-        for key in sorted(set(lhs.entries) | set(rhs.entries)):
-            if lhs[key] != rhs[key]:
-                disc = ((n,) + key, lhs[key], rhs[key])
-                break
-        if disc:
-            break
-    return CheckReport("m_equidistribution", n_max, disc is None, disc,
-                       time.perf_counter() - start)
+    def stages():
+        yield _first_mismatch(
+            ((n,) + key, lhs[key], rhs[key])
+            for n in range(1, n_max + 1)
+            for lhs, rhs in [(oracle.oracle_ballot_desc(n, force=force),
+                              oracle.oracle_odd_order_M(n, force=force))]
+            for key in sorted(set(lhs.entries) | set(rhs.entries)))
+    return _report("m_equidistribution", n_max, stages())
 
 
 def check_first_letter_gf(order: int = 10, catalog: SeriesCatalog | None = None) -> CheckReport:
     """The closed form for the first-letter refinement: extraction equals the
     second-letter recursion, the defining PDE holds, and the y-linear slice
     collapses to the plain Eulerian series."""
-    start = time.perf_counter()
-    cat = _catalog(order, catalog)
-    first = cat.first_letter_gf
-    disc: Discrepancy = None
+    def stages():
+        cat = _catalog(order, catalog)
+        first = cat.first_letter_gf
+        yield _first_mismatch(
+            ((n, d, j), series.extract_first(first, n, d, j), counts.eulerian_first(n, d, j))
+            for n in range(1, order + 1) for d in range(n) for j in range(1, n + 1))
 
-    for n in range(1, order + 1):
-        for d in range(n):
-            for j in range(1, n + 1):
-                got = series.extract_first(first, n, d, j)
-                want = counts.eulerian_first(n, d, j)
-                if got != want:
-                    disc = ((n, d, j), got, want)
-                    break
-            if disc:
-                break
-        if disc:
-            break
-
-    if disc is None:
         # y dA/dy - A = xy dA/dx - y^2 dA/dy + t xy A - xy A, exact one order
         # below the catalog order because d/dx consumes a slice
         t = series.monomial(cat.order, 1, e_t=1)
         y = series.monomial(cat.order, 1, e_y=1)
         xy = series.monomial(cat.order, 1, e_x=1, e_y=1)
         dy = series.d_dy(first)
-        lhs = y * dy - first
-        rhs = xy * series.d_dx(first) - y * y * dy + t * xy * first - xy * first
-        disc = series.first_difference(lhs, rhs)
+        yield _same(y * dy - first,
+                    xy * series.d_dx(first) - y * y * dy + t * xy * first - xy * first)
 
-    if disc is None:
         # the y-linear slice, with y dropped, is x times the full Eulerian EGF
         lin = series.select(first, lambda m: m[2] == 1)
         lin = series.map_exponents(lin, lambda m: (m[0], m[1], 0, m[3]))
-        x = series.monomial(cat.order, 1, e_x=1)
-        disc = series.first_difference(lin, x * cat.eulerian_egf)
-
-    return CheckReport("first_letter_gf", order, disc is None, disc,
-                       time.perf_counter() - start)
+        yield _same(lin, series.monomial(cat.order, 1, e_x=1) * cat.eulerian_egf)
+    return _report("first_letter_gf", order, stages())
 
 
 def check_symmetrized_first(order: int = 10, catalog: SeriesCatalog | None = None) -> CheckReport:
     """The symmetrized first-letter series: extraction matches the two-term
     Eulerian formula, and the low-descent odd part together with its
     t-reversal reconstructs the odd-x slice."""
-    start = time.perf_counter()
-    cat = _catalog(order, catalog)
-    sym, low = cat.first_sym_gf, cat.first_sym_odd_gf
-    disc: Discrepancy = None
-
-    for n in range(1, order + 1):
-        for d in range(n + 1):
-            for j in range(1, n + 1):
-                got = series.extract_first(sym, n, d, j)
-                want = counts.u_count(n, d, j)
-                if got != want:
-                    disc = ((n, d, j), got, want)
-                    break
-            if disc:
-                break
-        if disc:
-            break
-
-    if disc is None:
-        odd_part = (sym - series.negate_x(sym)) * Fraction(1, 2)
-        disc = series.first_difference(low + series.t_reverse(low), odd_part)
-
-    if disc is None:
-        bad = series.select(low, lambda m: m[1] % 2 == 0 or 2 * m[0] > m[1] - 1)
-        if bad.terms:
-            mono = min(bad.terms)
-            disc = (mono, bad.terms[mono], 0)
-
-    return CheckReport("symmetrized_first_letter", order, disc is None, disc,
-                       time.perf_counter() - start)
+    def stages():
+        cat = _catalog(order, catalog)
+        sym, low = cat.first_sym_gf, cat.first_sym_odd_gf
+        yield _first_mismatch(
+            ((n, d, j), series.extract_first(sym, n, d, j), counts.u_count(n, d, j))
+            for n in range(1, order + 1) for d in range(n + 1) for j in range(1, n + 1))
+        yield _same(low + series.t_reverse(low), (sym - series.negate_x(sym)) * Fraction(1, 2))
+        yield _support(low, lambda m: m[1] % 2 == 0 or 2 * m[0] > m[1] - 1)
+    return _report("symmetrized_first_letter", order, stages())
 
 
 def check_factor_counts(order: int = 8, n_max_oracle: int | None = None,
@@ -162,74 +158,35 @@ def check_factor_counts(order: int = 8, n_max_oracle: int | None = None,
                         force: bool = False) -> CheckReport:
     """Permutations with a factor 1nj or jn1: closed form, block recursion and
     brute force agree entrywise."""
-    start = time.perf_counter()
-    cat = _catalog(order, catalog)
-    factor = cat.factor_gf
-    if n_max_oracle is None:
-        n_max_oracle = min(order, 8)
-    disc: Discrepancy = None
-
-    for n in range(3, order + 1):
-        for d in range(n):
-            for j in range(2, n):
-                got = series.extract_factor(factor, n, d, j)
-                want = counts.e_count_rec(n, d, j)
-                if got != want:
-                    disc = ((n, d, j), got, want)
-                    break
-            if disc:
-                break
-        if disc:
-            break
-
-    if disc is None:
-        bad = series.select(factor, lambda m: not 2 <= m[2] <= m[1] - 1)
-        if bad.terms:
-            mono = min(bad.terms)
-            disc = (mono, bad.terms[mono], 0)
-
-    if disc is None:
-        for n in range(3, n_max_oracle + 1):
-            table = oracle.oracle_E(n, force=force)
-            for d in range(n):
-                for j in range(2, n):
-                    got = counts.e_count_rec(n, d, j)
-                    want = table[(d, j)]
-                    if got != want:
-                        disc = ((n, d, j), got, want)
-                        break
-                if disc:
-                    break
-            if disc:
-                break
-
-    return CheckReport("factor_counts", order, disc is None, disc,
-                       time.perf_counter() - start)
+    def stages():
+        factor = _catalog(order, catalog).factor_gf
+        yield _first_mismatch(
+            ((n, d, j), series.extract_factor(factor, n, d, j), counts.e_count_rec(n, d, j))
+            for n in range(3, order + 1) for d in range(n) for j in range(2, n))
+        yield _support(factor, lambda m: not 2 <= m[2] <= m[1] - 1)
+        yield _first_mismatch(
+            ((n, d, j), counts.e_count_rec(n, d, j), table[(d, j)])
+            for n in range(3, (min(order, 8) if n_max_oracle is None else n_max_oracle) + 1)
+            for table in [oracle.oracle_E(n, force=force)]
+            for d in range(n) for j in range(2, n))
+    return _report("factor_counts", order, stages())
 
 
 def check_functional_equation(order: int = 10, catalog: SeriesCatalog | None = None) -> CheckReport:
     """The functional equation tying the ballot factor series to the plain
     factor series, plus the reversal product identity for the ballot EGF."""
-    start = time.perf_counter()
-    cat = _catalog(order, catalog)
-    one = series.one(cat.order)
-    t = series.monomial(cat.order, 1, e_t=1)
-    y = series.monomial(cat.order, 1, e_y=1)
-    one_plus_y = one + y
-
-    bf = cat.ballot_factor_gf
-    ballot_rev = series.t_reverse(cat.ballot_gf)
-    lhs = (bf * series.subst_x_times(ballot_rev, one_plus_y)
-           + series.t_reverse(bf) * series.subst_x_times(cat.ballot_gf, one_plus_y))
-    rhs = (one + t) * cat.factor_gf
-    disc = series.first_difference(lhs, rhs)
-
-    if disc is None:
-        prod = cat.ballot_gf * ballot_rev
-        disc = series.first_difference(prod, one + (one + t) * cat.eulerian_gf)
-
-    return CheckReport("functional_equation", order, disc is None, disc,
-                       time.perf_counter() - start)
+    def stages():
+        cat = _catalog(order, catalog)
+        one = series.one(cat.order)
+        t = series.monomial(cat.order, 1, e_t=1)
+        one_plus_y = one + series.monomial(cat.order, 1, e_y=1)
+        bf = cat.ballot_factor_gf
+        ballot_rev = series.t_reverse(cat.ballot_gf)
+        yield _same(bf * series.subst_x_times(ballot_rev, one_plus_y)
+                    + series.t_reverse(bf) * series.subst_x_times(cat.ballot_gf, one_plus_y),
+                    (one + t) * cat.factor_gf)
+        yield _same(cat.ballot_gf * ballot_rev, one + (one + t) * cat.eulerian_gf)
+    return _report("functional_equation", order, stages())
 
 
 def check_ballot_cyclic_factor(order: int = 10, n_max_oracle: int = 7,
@@ -239,53 +196,28 @@ def check_ballot_cyclic_factor(order: int = 10, n_max_oracle: int = 7,
     letter: brute-force tables satisfy b(1,j) + b(j,1) = 2 p(1,j), the cyclic
     factor series matches its partition sum, and the combined series identity
     holds."""
-    start = time.perf_counter()
-    cat = _catalog(order, catalog)
-    disc: Discrepancy = None
-
-    for n in range(3, n_max_oracle + 1):
-        bt = oracle.oracle_b_factor(n, force=force)
-        pt = oracle.oracle_p_cyclic(n, force=force)
-        for d in range(n):
-            for j in range(2, n):
-                got = bt[(d, 1, j)] + bt[(d, j, 1)]
-                want = 2 * pt[(d, 1, j)]
-                if got != want:
-                    disc = ((n, d, j), got, want)
-                    break
-            if disc:
-                break
-        if disc:
-            break
-
-    if disc is None:
-        for n in range(3, order + 1):
-            for d in range(n):
-                for j in range(2, n):
-                    got = series.extract_factor(cat.cyclic_factor_gf, n, d, j)
-                    want = counts.p_count_partition(n, d, j)
-                    if got != want:
-                        disc = ((n, d, j), got, want)
-                        break
-                if disc:
-                    break
-            if disc:
-                break
-
-    if disc is None:
+    def stages():
+        cat = _catalog(order, catalog)
+        yield _first_mismatch(
+            ((n, d, j), bt[(d, 1, j)] + bt[(d, j, 1)], 2 * pt[(d, 1, j)])
+            for n in range(3, n_max_oracle + 1)
+            for bt, pt in [(oracle.oracle_b_factor(n, force=force),
+                            oracle.oracle_p_cyclic(n, force=force))]
+            for d in range(n) for j in range(2, n))
+        yield _first_mismatch(
+            ((n, d, j), series.extract_factor(cat.cyclic_factor_gf, n, d, j),
+             counts.p_count_partition(n, d, j))
+            for n in range(3, order + 1) for d in range(n) for j in range(2, n))
         one = series.one(cat.order)
         t = series.monomial(cat.order, 1, e_t=1)
         x2y = series.monomial(cat.order, 1, e_x=2, e_y=1)
         one_plus_y = one + series.monomial(cat.order, 1, e_y=1)
         sym = cat.first_sym_gf
-        lhs = (one + t) * cat.factor_gf
-        rhs = (t * x2y
-               * (one + (one + t) * series.subst_x_times(cat.eulerian_gf, one_plus_y))
-               * (sym - series.negate_x(sym)))
-        disc = series.first_difference(lhs, rhs)
-
-    return CheckReport("ballot_cyclic_factor", order, disc is None, disc,
-                       time.perf_counter() - start)
+        yield _same((one + t) * cat.factor_gf,
+                    t * x2y
+                    * (one + (one + t) * series.subst_x_times(cat.eulerian_gf, one_plus_y))
+                    * (sym - series.negate_x(sym)))
+    return _report("ballot_cyclic_factor", order, stages())
 
 
 def check_neighbor_pair_gf(order: int = 10, n_max_oracle: int = 7,
@@ -295,67 +227,32 @@ def check_neighbor_pair_gf(order: int = 10, n_max_oracle: int = 7,
     brute-force cyclic factor counts, the support respects i < j <= n-1, and
     the brute-force counts are Toeplitz (invariant under shifting both
     neighbors)."""
-    start = time.perf_counter()
-    cat = _catalog(order, catalog)
-    pair = cat.pair_factor_gf
-    disc: Discrepancy = None
-
-    bad = series.select(pair, lambda m: not 1 <= m[2] < m[3] <= m[1] - 1)
-    if bad.terms:
-        mono = min(bad.terms)
-        disc = (mono, bad.terms[mono], 0)
-
-    if disc is None:
-        for n in range(3, min(n_max_oracle, pair.order) + 1):
-            table = oracle.oracle_p_cyclic(n, force=force)
-            for d in range((n - 1) // 2 + 1):
-                for i in range(1, n - 1):
-                    for j in range(i + 1, n):
-                        got = series.extract_quad(pair, n, d, i, j)
-                        want = 2 * table[(d, i, j)]
-                        if got != want:
-                            disc = ((n, d, i, j), got, want)
-                            break
-                    if disc:
-                        break
-                if disc:
-                    break
-            if disc:
-                break
-
-    if disc is None:
-        for n in range(3, n_max_oracle + 1):
-            table = oracle.oracle_p_cyclic(n, force=force)
-            for d in range((n - 1) // 2 + 1):
-                for i in range(1, n - 1):
-                    for j in range(1, n - 1):
-                        if i == j:
-                            continue
-                        if table[(d, i, j)] != table[(d, i + 1, j + 1)]:
-                            disc = ((n, d, i, j), table[(d, i, j)],
-                                    table[(d, i + 1, j + 1)])
-                            break
-                    if disc:
-                        break
-                if disc:
-                    break
-            if disc:
-                break
-
-    return CheckReport("neighbor_pair_gf", order, disc is None, disc,
-                       time.perf_counter() - start)
+    def stages():
+        pair = _catalog(order, catalog).pair_factor_gf
+        yield _support(pair, lambda m: not 1 <= m[2] < m[3] <= m[1] - 1)
+        yield _first_mismatch(
+            ((n, d, i, j), series.extract_quad(pair, n, d, i, j), 2 * table[(d, i, j)])
+            for n in range(3, min(n_max_oracle, pair.order) + 1)
+            for table in [oracle.oracle_p_cyclic(n, force=force)]
+            for d in range((n - 1) // 2 + 1) for i in range(1, n - 1) for j in range(i + 1, n))
+        yield _first_mismatch(
+            ((n, d, i, j), table[(d, i, j)], table[(d, i + 1, j + 1)])
+            for n in range(3, n_max_oracle + 1)
+            for table in [oracle.oracle_p_cyclic(n, force=force)]
+            for d in range((n - 1) // 2 + 1) for i in range(1, n - 1) for j in range(1, n - 1)
+            if i != j)
+    return _report("neighbor_pair_gf", order, stages())
 
 
 def mutate_catalog(cat: SeriesCatalog, name: str) -> SeriesCatalog:
     """Return a copy of the catalog with one coefficient of the named series
     bumped by 1 (test harness: any such corruption must fail some check)."""
     s: MultiSeries = getattr(cat, name)
-    if not s.terms:
+    terms = s.terms
+    if not terms:
         raise ValueError(f"series {name} has no terms to mutate")
-    candidates = [m for m in s.terms if m[1] == 3] or list(s.terms)
-    mono = min(candidates)
-    terms = dict(s.terms)
-    terms[mono] = terms[mono] + 1
+    mono = min((m for m in terms if m[1] == 3), default=None) or min(terms)
+    terms[mono] += 1
     return replace(cat, **{name: MultiSeries(s.order, terms)})
 
 
@@ -388,32 +285,25 @@ def check_oeis_eulerian(path, n_max: int = 10) -> CheckReport:
 
     The file holds lines 'index value' (1-based, blank lines and # comments
     allowed); every line whose index falls inside the computed triangle must
-    match.  An empty file matches trivially.  Malformed lines raise ValueError.
+    match.  A file with no such line compares nothing and does not pass.
+    Malformed lines raise ValueError.
     """
-    start = time.perf_counter()
-    entries: list[tuple[int, int]] = []
-    with open(path, encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'index value', got {raw!r}")
-            try:
-                entries.append((int(parts[0]), int(parts[1])))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-
-    triangle = [((n, d), counts.eulerian(n, d))
-                for n in range(1, n_max + 1) for d in range(n)]
-    disc: Discrepancy = None
-    for k, value in entries:
-        if not 1 <= k <= len(triangle):
-            continue
-        (n, d), ours = triangle[k - 1]
-        if ours != value:
-            disc = ((k, n, d), ours, value)
-            break
-    return CheckReport("eulerian_oeis", n_max, disc is None, disc,
-                       time.perf_counter() - start)
+    def stages():
+        entries: list[tuple[int, int]] = []
+        with open(path, encoding="ascii") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split()
+                if len(parts) != 2:
+                    raise ValueError(f"{path}:{lineno}: expected 'index value', got {raw!r}")
+                try:
+                    entries.append((int(parts[0]), int(parts[1])))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+        triangle = [(n, d, counts.eulerian(n, d)) for n in range(1, n_max + 1) for d in range(n)]
+        yield _first_mismatch(((k, n, d), ours, value)
+                              for k, value in entries if 1 <= k <= len(triangle)
+                              for n, d, ours in [triangle[k - 1]])
+    return _report("eulerian_oeis", n_max, stages())

@@ -121,8 +121,22 @@ def test_verify_default_order(capsys):
 
 
 def test_verify_order_one_is_vacuous(capsys):
+    # at order 1 some checks have no entry to compare; they must not pass
     code, out, _ = run(capsys, "verify", "--order", "1", "--n-max-oracle", "3")
-    assert code == 0
+    assert code == 1
+    reports = json.loads(out)
+    failed = [r["name"] for r in reports if not r["passed"]]
+    assert failed == [r["name"] for r in reports if r["compared"] == 0]
+    assert failed == ["factor_counts", "neighbor_pair_gf"]
+    assert not any("discrepancy" in r for r in reports)
+
+
+def test_verify_oracle_length_zero_compares_nothing(capsys):
+    code, out, _ = run(capsys, "verify", "--order", "3", "--n-max-oracle", "0")
+    assert code == 1
+    report = {r["name"]: r for r in json.loads(out)}["m_equidistribution"]
+    assert report["compared"] == 0 and report["passed"] is False
+    assert "discrepancy" not in report
 
 
 def test_verify_cap(capsys):

@@ -10,7 +10,7 @@ from ballotperm.series import (MultiSeries, d_dx, d_dy, dump, exp_series,
                                exp_tm1, extract_egf, extract_factor,
                                extract_first, extract_quad, first_difference,
                                geom, map_exponents, mirror_y_with_z, monomial,
-                               negate_x, one, project_half, q_of, select,
+                               n_monomials, negate_x, one, project_half, q_of, select,
                                subst_x_times, t_reverse, y_to_z, zero)
 
 ORDER = 5
@@ -251,6 +251,16 @@ def test_first_difference():
     assert first_difference(a, a) is None
     mono, ca, cb = first_difference(a, b)
     assert mono == (0, 2, 0, 0) and ca == 1 and cb == 2
+
+
+def test_n_monomials_counts_the_union_to_the_common_order():
+    a = one(3) + monomial(3, 2, e_x=2) + monomial(3, 5, e_x=3, e_y=1)
+    b = one(2) + monomial(2, 7, e_t=1, e_x=2)
+    assert n_monomials(a) == 3 and n_monomials(b) == 2
+    # the constant term is shared and x^3 lies beyond the order of b
+    assert n_monomials(a, b) == n_monomials(b, a) == 3
+    assert n_monomials(a, a) == 3 and n_monomials(zero(4)) == 0
+    assert n_monomials(a, zero(0)) == 1
 
 
 def test_dump_golden():

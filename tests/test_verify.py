@@ -1,14 +1,16 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from ballotperm import counts, verify
+from ballotperm import cli, counts, oracle, series, verify
 from ballotperm.verify import (CheckReport, check_ballot_totals,
                                check_m_equidistribution, check_oeis_eulerian,
                                run_all)
 
 FIXTURE = Path(__file__).parent / "data" / "b008292.txt"
+GOLDEN = Path(__file__).parent / "data" / "verify_reports.json"
 
 
 def test_run_all_passes(tmp_path):
@@ -41,12 +43,83 @@ def test_every_mutation_is_caught(name):
     assert all(r.first_discrepancy is not None for r in failed)
 
 
+def test_reports_match_golden(tmp_path, monkeypatch):
+    # `verify` exit codes and reports, without elapsed_ms, recorded before
+    # reports carried `compared`; keys are the arguments, b-file paths
+    # relative to the repository root
+    monkeypatch.chdir(Path(__file__).parent.parent)
+    golden = json.loads(GOLDEN.read_text())
+    assert len(golden) == 24
+    out = tmp_path / "reports.json"
+    for args, want in golden.items():
+        out.unlink(missing_ok=True)
+        code = cli.main(["verify", *args.split(), "--out", str(out)])
+        reports = json.loads(out.read_text())
+        for r in reports:
+            assert r.pop("compared") > 0, (args, r)
+            del r["elapsed_ms"]
+        assert (code, reports) == (want["exit"], want["reports"]), args
+
+
 def test_mutated_ballot_series_fails_totals():
     cat = counts.build_catalog(7)
     bad = verify.mutate_catalog(cat, "ballot_gf")
     report = check_ballot_totals(6, catalog=bad)
     assert not report.passed
     assert report.first_discrepancy[0] == (3,)
+    assert report.compared == 4  # rows n = 0..3, the last one discrepant
+
+
+def _monomial(e_t, e_x, e_y, e_z=0):
+    return series.monomial(7, 1, e_t=e_t, e_x=e_x, e_y=e_y, e_z=e_z)
+
+
+# a term outside the support that no earlier stage of the check reads; for the
+# low-descent series its t-reversal is taken out again, so that the
+# reconstruction identity before the support stage still holds
+@pytest.mark.parametrize("name,check,extra,mono", [
+    ("factor_gf", verify.check_factor_counts, _monomial(0, 4, 4), (0, 4, 4, 0)),
+    ("pair_factor_gf", verify.check_neighbor_pair_gf, _monomial(0, 4, 2, 1), (0, 4, 2, 1)),
+    ("first_sym_odd_gf", verify.check_symmetrized_first,
+     _monomial(0, 4, 1) - _monomial(4, 4, 1), (0, 4, 1, 0)),
+])
+def test_support_violation_is_reported(name, check, extra, mono):
+    cat = counts.build_catalog(7)
+    bad = replace(cat, **{name: getattr(cat, name) + extra})
+    report = check(6, catalog=bad)
+    assert not report.passed
+    assert report.first_discrepancy == (mono, 1, 0)
+
+
+def test_toeplitz_break_is_reported(monkeypatch):
+    # a bumped brute-force count at n = 6, beyond the series order that the
+    # extraction stage reaches, is seen only by the Toeplitz stage
+    real = oracle.oracle_p_cyclic
+
+    def bumped(n, force=False):
+        table = real(n, force=force)
+        if n != 6:
+            return table
+        entries = dict(table.entries)
+        entries[(0, 2, 4)] = table[(0, 2, 4)] + 1
+        return replace(table, entries=entries)
+
+    monkeypatch.setattr(oracle, "oracle_p_cyclic", bumped)
+    table = real(6)
+    report = verify.check_neighbor_pair_gf(3, n_max_oracle=6)
+    assert report.first_discrepancy == ((6, 0, 1, 3), table[(0, 1, 3)],
+                                        table[(0, 2, 4)] + 1)
+    assert verify.check_neighbor_pair_gf(3, n_max_oracle=5).passed
+
+
+def test_a_failing_stage_skips_the_later_stages(monkeypatch):
+    def unreachable(n, force=False):
+        raise AssertionError("the brute-force stage ran after a failed stage")
+
+    monkeypatch.setattr(oracle, "oracle_E", unreachable)
+    bad = verify.mutate_catalog(counts.build_catalog(7), "factor_gf")
+    report = verify.check_factor_counts(6, catalog=bad)
+    assert not report.passed and report.first_discrepancy[0][0] == 3
 
 
 def test_recursion_mutation_is_caught():
@@ -70,9 +143,11 @@ def test_recursion_mutation_is_caught():
 
 
 def test_check_report_passed_iff_no_discrepancy():
-    r = CheckReport("x", 3, True)
-    assert r.to_json_dict() == {"name": "x", "order": 3, "passed": True,
-                                "elapsed_ms": 0.0}
+    r = CheckReport("x", 3, True, compared=5)
+    d = r.to_json_dict()
+    assert d == {"name": "x", "order": 3, "passed": True, "compared": 5,
+                 "elapsed_ms": 0.0}
+    assert list(d) == ["name", "order", "passed", "compared", "elapsed_ms"]
     r = CheckReport("x", 3, False, ((1, 2), 3, 4), 0.5)
     d = r.to_json_dict()
     assert d["discrepancy"] == {"index": [1, 2], "lhs": "3", "rhs": "4"}
@@ -87,15 +162,31 @@ def test_ballot_totals_order_zero():
     assert check_ballot_totals(0).passed
 
 
+@pytest.mark.parametrize("order", [0, 1, 4, 9])
+def test_ballot_totals_compares_one_row_per_length(order):
+    report = check_ballot_totals(order)
+    assert report.passed and report.compared == order + 1
+
+
 def test_oeis_fixture_matches():
     report = check_oeis_eulerian(FIXTURE, n_max=10)
     assert report.passed
 
 
 def test_oeis_empty_file_matches(tmp_path):
+    # nothing to compare is no evidence: the report must not pass
     path = tmp_path / "empty.txt"
     path.write_text("")
-    assert check_oeis_eulerian(path, n_max=5).passed
+    report = check_oeis_eulerian(path, n_max=5)
+    assert not report.passed
+    assert report.compared == 0 and report.first_discrepancy is None
+
+
+@pytest.mark.parametrize("n_max,compared", [(1, 1), (4, 10), (12, 78), (13, 78)])
+def test_oeis_compares_every_line_inside_the_triangle(n_max, compared):
+    # the fixture holds the first 78 entries, rows n = 1..12
+    report = check_oeis_eulerian(FIXTURE, n_max=n_max)
+    assert report.passed and report.compared == compared
 
 
 def test_oeis_detects_alteration(tmp_path):
