@@ -15,29 +15,59 @@ nothing, 2 usage or domain errors.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import contextlib
 import json
 import sys
+from typing import Callable, Iterable, NamedTuple
 
 from . import counts, oracle, series, verify
 
 MAX_ORDER = 14
 MAX_ORACLE_N = oracle.ENUMERATION_CAP
 
-# The largest --n that `table` accepts even with --force, so that no request
-# runs without bound.  A and l stop short of n = 1558, where the counts pass
-# Python's default 4300-digit limit for int-to-str; A_first and U at 300 take
-# about 4 s but 300 MB (memory grows as n^3); E, p and b take 20 to 30 s at
-# the ceiling on a 2-vCPU Xeon with Python 3.11; b_factor is brute force.
-FORCE_CEILING = {"A": 1500, "A_first": 300, "U": 300, "E": 100, "b": 250, "l": 1500,
-                 "p": 115, "b_factor": MAX_ORACLE_N}
-TABLE_STATS = tuple(FORCE_CEILING)
-# Function names, looked up in `oracle` at call time so that a wrapper put on
-# the module (a tracer, a test double) is the one that runs.
-ORACLE_STATS = {"A_first": "oracle_eulerian_first", "b": "oracle_ballot_desc",
-                "M": "oracle_odd_order_M", "E": "oracle_E", "b_factor": "oracle_b_factor",
-                "p": "oracle_p_cyclic", "l": "oracle_l"}
+Entries = list[tuple[tuple[int, ...], int]]
+# The index names of a key follow from its length: the partition sum keys p by
+# (d, j) at i = 1, the oracle by (d, i, j).
+KEY_NAMES = {1: ("d",), 2: ("d", "j"), 3: ("d", "i", "j")}
+
+
+class Stat(NamedTuple):
+    """A kind of count table: `rows(n)` yields the fast route's (key, count) in
+    key order, zeros included, for --n up to `ceiling` even with --force;
+    `oracle` names the brute-force function, looked up at call time so that a
+    wrapper put on the module is the one that runs."""
+
+    rows: Callable[[int], Iterable[tuple[tuple[int, ...], int]]] | None
+    ceiling: int
+    oracle: str | None
+
+
+# A and l stop short of n = 1558, where the counts pass Python's default
+# 4300-digit limit for int-to-str.  The other ceilings keep a request near 30 s
+# or below on a 2-vCPU Xeon with Python 3.11: A_first and U hold every triangle
+# row up to n (memory grows as n^3) and take about 13 s and 140 / 170 MB at 400,
+# but 30 s and 320 MB at 500; b_factor is brute force.
+STATS = {
+    "A": Stat(lambda n: (((d,), counts.eulerian(n, d)) for d in range(max(1, n))),
+              1500, None),
+    "A_first": Stat(lambda n: (((d, j), counts.eulerian_first(n, d, j))
+                               for d in range(n) for j in range(1, n + 1)),
+                    400, "oracle_eulerian_first"),
+    "U": Stat(lambda n: (((d, j), counts.u_count(n, d, j))
+                         for d in range(n + 1) for j in range(1, n + 1)), 400, None),
+    "E": Stat(lambda n: (((d, j), counts.e_count_rec(n, d, j))
+                         for d in range(n) for j in range(2, n)), 100, "oracle_E"),
+    "b": Stat(lambda n: (((d,), v) for (m, d), v
+                         in counts.ballot_desc_table(n).sorted_items() if m == n),
+              250, "oracle_ballot_desc"),
+    "l": Stat(lambda n: (((d,), counts.l_count(n, d)) for d in range((n - 1) // 2 + 1)),
+              1500, "oracle_l"),
+    "p": Stat(lambda n: (((d, j), counts.p_count_partition(n, d, j))
+                         for d in range(n) for j in range(2, n)), 115, "oracle_p_cyclic"),
+    "b_factor": Stat(lambda n: oracle.oracle_b_factor(n).sorted_items(), MAX_ORACLE_N,
+                     "oracle_b_factor"),
+    "M": Stat(None, MAX_ORACLE_N, "oracle_odd_order_M"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,19 +77,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "permutations and refined Eulerian numbers.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("table", help="emit a count table (recursion / series routes)")
-    p.add_argument("--stat", required=True, choices=TABLE_STATS)
-    p.add_argument("--n", type=int, required=True, help="permutation length")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", metavar="PATH", help="write here instead of stdout")
-    p.add_argument("--force", action="store_true", help="lift the size caps")
-
-    p = sub.add_parser("oracle", help="emit a count table by brute-force enumeration")
-    p.add_argument("--stat", required=True, choices=ORACLE_STATS)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", metavar="PATH")
-    p.add_argument("--force", action="store_true")
+    for command, route, help_text in (
+            ("table", "rows", "emit a count table (recursion / series routes)"),
+            ("oracle", "oracle", "emit a count table by brute-force enumeration")):
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--stat", required=True,
+                       choices=[s for s, stat in STATS.items() if getattr(stat, route)])
+        p.add_argument("--n", type=int, required=True, help="permutation length")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("verify", help="run the certification suite (JSON report)")
     p.add_argument("--order", type=int, default=10, help="series truncation order")
@@ -71,119 +96,93 @@ def build_parser() -> argparse.ArgumentParser:
                    help="b-file with the Eulerian triangle read by rows")
     p.add_argument("--inject-mutation", metavar="SERIES", choices=counts.CATALOG_SERIES,
                    help="test only: corrupt one coefficient of a catalog series")
-    p.add_argument("--out", metavar="PATH")
-    p.add_argument("--force", action="store_true")
 
     p = sub.add_parser("dump", help="print one catalog series, one monomial per line")
     p.add_argument("--series", required=True, choices=counts.CATALOG_SERIES)
     p.add_argument("--order", type=int, default=8)
-    p.add_argument("--out", metavar="PATH")
-    p.add_argument("--force", action="store_true")
+
+    for command, p in sub.choices.items():
+        p.add_argument("--out", metavar="PATH", help="write here instead of stdout")
+        if command != "oracle":     # the oracle's ceiling is below every cap
+            p.add_argument("--force", action="store_true", help="lift the size caps")
+    sub.choices["oracle"].set_defaults(force=False)
 
     return parser
 
 
-def _table_entries(stat: str, n: int, force: bool) -> list[tuple[tuple[int, ...], int]]:
-    if stat == "A":
-        return [((d,), counts.eulerian(n, d)) for d in range(max(1, n))
-                if counts.eulerian(n, d)]
-    if stat == "A_first":
-        return [((d, j), v) for d in range(max(0, n)) for j in range(1, n + 1)
-                if (v := counts.eulerian_first(n, d, j))]
-    if stat == "U":
-        return [((d, j), v) for d in range(n + 1) for j in range(1, n + 1)
-                if (v := counts.u_count(n, d, j))]
-    if stat == "E":
-        return [((d, j), v) for d in range(max(0, n)) for j in range(2, n)
-                if (v := counts.e_count_rec(n, d, j))]
-    if stat == "b":
-        table = counts.ballot_desc_table(n)
-        return [((d,), v) for (m, d), v in table.sorted_items() if m == n]
-    if stat == "l":
-        return [((d,), v) for d in range((n - 1) // 2 + 1)
-                if (v := counts.l_count(n, d))]
-    if stat == "p":
-        return [((d, j), v) for d in range(max(0, n)) for j in range(2, n)
-                if (v := counts.p_count_partition(n, d, j))]
-    if stat == "b_factor":
-        return oracle.oracle_b_factor(n, force=force).sorted_items()
-    raise ValueError(f"unknown stat {stat!r}")
+def _table_entries(stat: str, n: int) -> Entries:
+    """The nonzero entries of one table through its fast route, in key order."""
+    return [(key, v) for key, v in STATS[stat].rows(n) if v]
 
 
-def _entry_obj(key: tuple[int, ...], count: int) -> dict:
-    if len(key) == 1:
-        return {"d": key[0], "count": str(count)}
-    if len(key) == 2:
-        return {"d": key[0], "j": key[1], "count": str(count)}
-    return {"d": key[0], "i": key[1], "j": key[2], "count": str(count)}
+def _write_table(fh, stat: str, n: int, entries: Entries, fmt: str) -> None:
+    """Write one table an entry at a time, in the bytes of json.dumps(indent=2)
+    or of csv.writer rows (n, *key, count), then a newline."""
+    if fmt == "csv":
+        for key, count in entries:
+            fh.write(f"{n},{','.join(map(str, key))},{count}\n")
+        if not entries:
+            fh.write("\n")
+        return
+    fh.write(f'{{\n  "stat": "{stat}",\n  "n": {n},\n  "entries": [')
+    sep = "\n"
+    for key, count in entries:
+        fields = "".join(f'      "{name}": {k},\n' for name, k in zip(KEY_NAMES[len(key)], key))
+        fh.write(f'{sep}    {{\n{fields}      "count": "{count}"\n    }}')
+        sep = ",\n"
+    fh.write("\n  ]\n}\n" if entries else "]\n}\n")
 
 
-def _render_table(stat: str, n: int, entries, fmt: str) -> str:
-    entries = sorted(entries)
-    if fmt == "json":
-        doc = {"stat": stat, "n": n, "entries": [_entry_obj(k, v) for k, v in entries]}
-        return json.dumps(doc, indent=2)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for key, v in entries:
-        writer.writerow((n, *key, str(v)))
-    return buf.getvalue().rstrip("\n")
+def _open(out: str | None):
+    return open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
 
 
-def _write(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _check_cap(flag: str, value: int, cap: int, force: bool) -> None:
+    if value > cap and not force:
+        raise ValueError(f"{flag} {value} exceeds the cap {cap}; use --force")
 
 
 def _cmd_table(args) -> int:
-    if args.n < 0:
-        raise ValueError(f"--n must be nonnegative, got {args.n}")
-    if args.n > MAX_ORDER and not args.force:
-        raise ValueError(f"--n {args.n} exceeds the cap {MAX_ORDER}; use --force")
-    if args.n > FORCE_CEILING[args.stat]:
-        raise ValueError(f"--n {args.n} exceeds the ceiling "
-                         f"{FORCE_CEILING[args.stat]} for --stat {args.stat}")
-    entries = _table_entries(args.stat, args.n, args.force)
-    _write(_render_table(args.stat, args.n, entries, args.format), args.out)
-    return 0
-
-
-def _cmd_oracle(args) -> int:
-    table = getattr(oracle, ORACLE_STATS[args.stat])(args.n, force=args.force)
-    _write(_render_table(args.stat, args.n, table.sorted_items(), args.format), args.out)
+    """Serve `table` and `oracle`; an error comes before --out is opened."""
+    stat = STATS[args.stat]
+    ceiling = stat.ceiling if args.command == "table" else MAX_ORACLE_N
+    if not 0 <= args.n <= ceiling:
+        raise ValueError(f"--stat {args.stat} takes --n from 0 to the ceiling {ceiling}, "
+                         f"got {args.n}")
+    _check_cap("--n", args.n, MAX_ORDER, args.force)
+    if args.command == "table":
+        entries = _table_entries(args.stat, args.n)
+    else:
+        entries = getattr(oracle, stat.oracle)(args.n).sorted_items()
+    with _open(args.out) as fh:
+        _write_table(fh, args.stat, args.n, entries, args.format)
     return 0
 
 
 def _cmd_verify(args) -> int:
     if args.order < 1:
         raise ValueError(f"--order must be >= 1, got {args.order}")
-    if args.order > MAX_ORDER and not args.force:
-        raise ValueError(f"--order {args.order} exceeds the cap {MAX_ORDER}; use --force")
+    _check_cap("--order", args.order, MAX_ORDER, args.force)
     if args.n_max_oracle < 0:
         raise ValueError(f"--n-max-oracle must be >= 0, got {args.n_max_oracle}")
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
-    if args.n > MAX_ORDER and not args.force:
-        raise ValueError(f"--n {args.n} exceeds the cap {MAX_ORDER}; use --force")
-    if args.n_max_oracle > MAX_ORACLE_N and not args.force:
-        raise ValueError(f"--n-max-oracle {args.n_max_oracle} exceeds the cap "
-                         f"{MAX_ORACLE_N}; use --force")
+    _check_cap("--n", args.n, MAX_ORDER, args.force)
+    _check_cap("--n-max-oracle", args.n_max_oracle, MAX_ORACLE_N, args.force)
     reports = verify.run_all(order=args.order, n_max_oracle=args.n_max_oracle,
                              mutation=args.inject_mutation, force=args.force)
     if args.oeis_bfile:
         reports.append(verify.check_oeis_eulerian(args.oeis_bfile, n_max=args.n))
-    _write(json.dumps([r.to_json_dict() for r in reports], indent=2), args.out)
+    with _open(args.out) as fh:
+        fh.write(json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n")
     return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_dump(args) -> int:
-    if args.order > MAX_ORDER and not args.force:
-        raise ValueError(f"--order {args.order} exceeds the cap {MAX_ORDER}; use --force")
+    _check_cap("--order", args.order, MAX_ORDER, args.force)
     cat = counts.build_catalog(args.order)
-    _write(series.dump(getattr(cat, args.series)), args.out)
+    with _open(args.out) as fh:
+        fh.write(series.dump(getattr(cat, args.series)) + "\n")
     return 0
 
 
@@ -193,7 +192,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    handler = {"table": _cmd_table, "oracle": _cmd_oracle,
+    handler = {"table": _cmd_table, "oracle": _cmd_table,
                "verify": _cmd_verify, "dump": _cmd_dump}[args.command]
     try:
         return handler(args)

@@ -10,6 +10,11 @@ the series.  A check that compared nothing does not pass.  All comparisons are
 exact equality, never tolerances.  Checks build the series catalog one order
 above their reporting order so that identities involving formal derivatives
 are exact at the reported order.
+
+Not certified: the x^(order+1) slice of each catalog series, which exists only
+for those d/dx identities; and the coefficients of `pair_factor_gf` with
+x-degree above `n_max_oracle`, which are checked only for their support, since
+brute force is their only other route.
 """
 
 from __future__ import annotations

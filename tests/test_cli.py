@@ -1,12 +1,18 @@
 import csv
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from math import factorial
 from pathlib import Path
 
-from ballotperm.cli import FORCE_CEILING, main
+from ballotperm.cli import STATS, main
 
 FIXTURE = Path(__file__).parent / "data" / "b008292.txt"
+RENDER_GOLDEN = Path(__file__).parent / "data" / "render_sha256.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -71,11 +77,14 @@ def test_table_force_ceiling(capsys, tmp_path):
     # gets a one-line error (A_first at 1100 used to overflow the recursion)
     code, out, err = run(capsys, "table", "--stat", "A_first", "--n", "1100", "--force")
     assert code == 2 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1 and "300" in err
-    for stat, ceiling in FORCE_CEILING.items():
-        code, _, err = run(capsys, "table", "--stat", stat, "--n", str(ceiling + 1), "--force")
-        assert code == 2 and "ceiling" in err, stat
-    n = FORCE_CEILING["l"] - 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(STATS["A_first"].ceiling) in err
+    for stat, entry in STATS.items():
+        if entry.rows:
+            code, _, err = run(capsys, "table", "--stat", stat, "--n", str(entry.ceiling + 1),
+                               "--force")
+            assert code == 2 and "ceiling" in err, stat
+    n = STATS["l"].ceiling - 1
     out_path = tmp_path / "l.csv"
     code, _, _ = run(capsys, "table", "--stat", "l", "--n", str(n), "--force",
                      "--format", "csv", "--out", str(out_path))
@@ -85,9 +94,58 @@ def test_table_force_ceiling(capsys, tmp_path):
     assert sum(int(row[2]) for row in rows) == factorial(n - 1)
 
 
-def test_table_l_even_n_domain_error(capsys):
+def test_table_l_even_n_domain_error(capsys, tmp_path):
     code, _, err = run(capsys, "table", "--stat", "l", "--n", "4")
     assert code == 2 and "odd" in err
+    # the entries are computed before --out is opened, so an error leaves no file
+    target = tmp_path / "P"
+    code, out, err = run(capsys, "table", "--stat", "l", "--n", "4", "--out", str(target))
+    assert code == 2 and out == "" and "odd" in err
+    assert not target.exists()
+
+
+def test_render_matches_golden_bytes(capsys, tmp_path):
+    # sha256 of the whole stdout of every table and oracle stat in both formats
+    # at every n <= 8, recorded from the json.dumps / csv.writer renderer; an n
+    # missing from the file is refused.  --out must write the same bytes.
+    golden = json.loads(RENDER_GOLDEN.read_text())
+    assert sorted(golden["table"]) == ["A", "A_first", "E", "U", "b", "b_factor", "l", "p"]
+    assert sorted(golden["oracle"]) == ["A_first", "E", "M", "b", "b_factor", "l", "p"]
+    target = tmp_path / "out"
+    for command, stats in golden.items():
+        for stat, formats in stats.items():
+            for fmt, digests in formats.items():
+                for n in range(9):
+                    argv = (command, "--stat", stat, "--n", str(n), "--format", fmt)
+                    code, out, _ = run(capsys, *argv)
+                    case = (command, stat, fmt, n)
+                    if str(n) not in digests:
+                        assert code == 2 and out == "", case
+                        continue
+                    assert code == 0, case
+                    data = out.encode()
+                    assert hashlib.sha256(data).hexdigest() == digests[str(n)], case
+                    assert run(capsys, *argv, "--out", str(target))[:2] == (0, ""), case
+                    assert target.read_bytes() == data, case
+
+
+def test_table_streams_in_bounded_memory(tmp_path):
+    # streamed, this run peaks near 34 MB; building the whole document in memory
+    # before writing took it to 107 MB.  The child reads its own
+    # peak as VmHWM: its ru_maxrss would also count this test runner's resident
+    # set, which the child inherits at the fork.
+    out = tmp_path / "a_first.json"
+    script = ("from ballotperm.cli import main\n"
+              f"code = main(['table', '--stat', 'A_first', '--n', '200', '--force',"
+              f" '--out', {str(out)!r}])\n"
+              "with open('/proc/self/status') as fh:\n"
+              "    peak = next(line.split()[1] for line in fh if line.startswith('VmHWM:'))\n"
+              "print(code, peak)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 0 and json.loads(out.read_text())["n"] == 200
+    assert peak_kib / 1024 < 60
 
 
 def test_oracle_command(capsys):
@@ -95,8 +153,13 @@ def test_oracle_command(capsys):
     assert code == 0
     doc = json.loads(out)
     assert {(e["d"],): int(e["count"]) for e in doc["entries"]} == {(0,): 1, (1,): 2}
-    code, _, _ = run(capsys, "oracle", "--stat", "b", "--n", "11")
-    assert code == 2
+    # every oracle table stops at the enumeration cap, with no flag to lift it
+    for stat in ("A_first", "b", "M", "E", "b_factor", "p", "l"):
+        code, out, err = run(capsys, "oracle", "--stat", stat, "--n", "11")
+        assert code == 2 and out == "" and err.count("\n") == 1, stat
+        assert "the ceiling 10, got 11" in err and "force" not in err, stat
+    code, out, _ = run(capsys, "oracle", "--stat", "b", "--n", "11", "--force")
+    assert code == 2 and out == ""
 
 
 def test_oracle_matches_table_for_b(capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 from fractions import Fraction
 from math import factorial
@@ -279,9 +280,11 @@ def test_tables_match_golden_hashes():
     assert sorted(golden) == sorted(["A", "A_first", "U", "E", "p", "l"])
     for stat, digests in golden.items():
         for n, digest in digests.items():
-            text = cli._render_table(stat, int(n), cli._table_entries(stat, int(n), False),
-                                     "json")
-            assert hashlib.sha256(text.encode()).hexdigest() == digest, (stat, n)
+            buf = io.StringIO()
+            cli._write_table(buf, stat, int(n), cli._table_entries(stat, int(n)), "json")
+            text = buf.getvalue()
+            assert text.endswith("}\n")       # the digests omit the final newline
+            assert hashlib.sha256(text[:-1].encode()).hexdigest() == digest, (stat, n)
 
 
 def _memo_sizes():
@@ -293,7 +296,7 @@ def _memo_sizes():
 
 def test_clear_caches_drops_every_memo():
     def tables():
-        return {stat: cli._table_entries(stat, n, False)
+        return {stat: cli._table_entries(stat, n)
                 for stat, n in (("A", 14), ("A_first", 14), ("U", 14), ("E", 14), ("p", 14))}
 
     before = tables()
