@@ -297,11 +297,12 @@ def _build_catalog(order: int) -> SeriesCatalog:
     ballot_factor = 2 * cyclic_factor
 
     # pair series: (2y / (1 - yz)) * (P(t,x,z) - P(t,xyz,1/y)).  The geometric
-    # factor is summed past the truncation order, so every surviving spurious
-    # term has e_y > order >= e_x and the support filter removes exactly those.
-    yz = series.monomial(order, 1, e_y=1, e_z=1)
+    # factor is the polynomial sum of (yz)^k for k <= order + 1, past the
+    # truncation order, so every surviving spurious term has e_y > order >= e_x
+    # and the support filter removes exactly those.
+    yz_sum = MultiSeries(order, {(0, 0, k, k): Fraction(1) for k in range(order + 2)})
     diff = series.y_to_z(cyclic_factor) - series.mirror_y_with_z(cyclic_factor)
-    pair = 2 * y * series.geom(yz, max_power=order + 1) * diff
+    pair = 2 * y * yz_sum * diff
     pair = series.select(pair, lambda m: m[2] <= m[1])
 
     return SeriesCatalog(

@@ -9,8 +9,8 @@ closes only at odd length.  It fills the M, p and (odd n) l tables.  Every
 count is one visited object read off, never a formula.
 
 Tables are deterministic and, once built, must be treated as immutable
-(results are cached).  By default n is capped at 10 (10! words is the limit
-of desk-scale enumeration); pass force=True to go beyond.
+(results are cached).  n is capped at ENUMERATION_CAP = 10, a hard ceiling:
+10! words is the limit of desk-scale enumeration.
 """
 
 from __future__ import annotations
@@ -42,12 +42,10 @@ class CountTable:
         return sorted(self.entries.items())
 
 
-def _check_n(n: int, minimum: int, force: bool) -> None:
-    if n < minimum:
-        raise ValueError(f"need n >= {minimum}, got {n}")
-    if n > ENUMERATION_CAP and not force:
-        raise ValueError(f"n = {n} exceeds the enumeration cap {ENUMERATION_CAP}; "
-                         f"pass force=True to override")
+def _check_n(n: int, minimum: int) -> None:
+    if not minimum <= n <= ENUMERATION_CAP:
+        raise ValueError(f"need {minimum} <= n <= {ENUMERATION_CAP} (the enumeration cap), "
+                         f"got {n}")
 
 
 @lru_cache(maxsize=None)
@@ -121,47 +119,47 @@ def _odd_cycle_tables(n: int) -> dict[str, CountTable]:
             "l": CountTable("l", n, l_counts)}
 
 
-def oracle_eulerian_first(n: int, force: bool = False) -> CountTable:
+def oracle_eulerian_first(n: int) -> CountTable:
     """(d, j) -> permutations of length n with d descents and first letter j."""
-    _check_n(n, 1, force)
+    _check_n(n, 1)
     return _word_tables(n)["A_first"]
 
 
-def oracle_ballot_desc(n: int, force: bool = False) -> CountTable:
+def oracle_ballot_desc(n: int) -> CountTable:
     """(d,) -> ballot permutations of length n with d descents."""
-    _check_n(n, 0, force)
+    _check_n(n, 0)
     return _word_tables(n)["b"]
 
 
-def oracle_odd_order_M(n: int, force: bool = False) -> CountTable:
+def oracle_odd_order_M(n: int) -> CountTable:
     """(d,) -> odd order permutations of length n whose M statistic is d."""
-    _check_n(n, 1, force)
+    _check_n(n, 1)
     return _odd_cycle_tables(n)["M"]
 
 
-def oracle_E(n: int, force: bool = False) -> CountTable:
+def oracle_E(n: int) -> CountTable:
     """(d, j) -> permutations of length n with d descents having 1nj or jn1 as a factor."""
-    _check_n(n, 3, force)
+    _check_n(n, 3)
     return _word_tables(n)["E"]
 
 
-def oracle_b_factor(n: int, force: bool = False) -> CountTable:
+def oracle_b_factor(n: int) -> CountTable:
     """(d, i, j) -> ballot permutations of length n with d descents and factor inj."""
-    _check_n(n, 3, force)
+    _check_n(n, 3)
     return _word_tables(n)["b_factor"]
 
 
-def oracle_p_cyclic(n: int, force: bool = False) -> CountTable:
+def oracle_p_cyclic(n: int) -> CountTable:
     """(d, i, j) -> odd order permutations with M = d and cyclic factor inj."""
-    _check_n(n, 3, force)
+    _check_n(n, 3)
     return _odd_cycle_tables(n)["p"]
 
 
-def oracle_l(n: int, force: bool = False) -> CountTable:
+def oracle_l(n: int) -> CountTable:
     """(d,) -> full n-cycles on [n] with M statistic d; n must be odd."""
     if n % 2 == 0:
         raise ValueError(f"cycle statistic tables need odd n, got {n}")
-    _check_n(n, 1, force)
+    _check_n(n, 1)
     return _odd_cycle_tables(n)["l"]
 
 

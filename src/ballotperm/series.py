@@ -199,18 +199,11 @@ def q_of(w: MultiSeries) -> MultiSeries:
     return _recur(w, (monomial(w.order, 1, e_t=1) - one(w.order)) * w, 1)
 
 
-def geom(g: MultiSeries, max_power: int | None = None) -> MultiSeries:
-    """Geometric sum 1/(1-g) = sum_k g^k.  Without max_power, g must have no
-    x-constant part and the sum is solved from F = 1 + g*F.  With max_power, the sum is cut at g**max_power, which
-    callers use for arguments like y*z that no x-truncation can kill.
-    """
-    if max_power is None:
-        _require_no_x_constant(g, "geometric inversion")
-        return _recur(one(g.order), g, 0)
-    out = one(g.order)
-    for _ in range(max_power):  # Horner: 1 + g*(1 + g*(...))
-        out = one(g.order) + g * out
-    return out
+def geom(g: MultiSeries) -> MultiSeries:
+    """Geometric sum 1/(1-g) = sum_k g^k for g with no x-constant part,
+    solved from F = 1 + g*F."""
+    _require_no_x_constant(g, "geometric inversion")
+    return _recur(one(g.order), g, 0)
 
 
 def exp_series(s: MultiSeries) -> MultiSeries:

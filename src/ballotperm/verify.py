@@ -7,14 +7,15 @@ series.  The first discrepancy ends the check, and its CheckReport carries the
 smallest discrepant index with both values and `compared`, the number of
 entries compared: grid rows up to the discrepancy, and the monomials stored in
 the series.  A check that compared nothing does not pass.  All comparisons are
-exact equality, never tolerances.  Checks build the series catalog one order
-above their reporting order so that identities involving formal derivatives
-are exact at the reported order.
+exact equality, never tolerances.  A check that reads series takes the catalog
+it certifies, built one order above its reporting order, and reports at
+cat.order - 1, so that identities involving formal derivatives are exact at the
+reported order.
 
 Not certified: the x^(order+1) slice of each catalog series, which exists only
 for those d/dx identities; and the coefficients of `pair_factor_gf` with
 x-degree above `n_max_oracle`, which are checked only for their support, since
-brute force is their only other route.
+enumeration is their only other route.
 """
 
 from __future__ import annotations
@@ -88,40 +89,38 @@ def _report(name: str, order: int, stages: Iterator[Stage]) -> CheckReport:
                        time.perf_counter() - start, compared)
 
 
-def _catalog(order: int, catalog: SeriesCatalog | None) -> SeriesCatalog:
-    return catalog if catalog is not None else counts.build_catalog(order + 1)
-
-
-def check_ballot_totals(order: int = 14, catalog: SeriesCatalog | None = None) -> CheckReport:
+def check_ballot_totals(cat: SeriesCatalog) -> CheckReport:
     """Row sums of the exponential ballot series match the double-factorial product."""
+    order = cat.order - 1
+
     def stages():
-        b = catalog.ballot_gf if catalog is not None else counts.ballot_series(order)
         yield _first_mismatch(
-            ((n,), sum(series.extract_egf(b, n, d) for d in range(max(1, (n - 1) // 2 + 1))),
+            ((n,), sum(series.extract_egf(cat.ballot_gf, n, d)
+                       for d in range(max(1, (n - 1) // 2 + 1))),
              counts.ballot_total(n))
             for n in range(order + 1))
     return _report("ballot_totals", order, stages())
 
 
-def check_m_equidistribution(n_max: int = 8, force: bool = False) -> CheckReport:
+def check_m_equidistribution(n_max: int) -> CheckReport:
     """Ballot permutations by descents and odd order permutations by the M
     statistic are equinumerous, by double enumeration."""
     def stages():
         yield _first_mismatch(
             ((n,) + key, lhs[key], rhs[key])
             for n in range(1, n_max + 1)
-            for lhs, rhs in [(oracle.oracle_ballot_desc(n, force=force),
-                              oracle.oracle_odd_order_M(n, force=force))]
+            for lhs, rhs in [(oracle.oracle_ballot_desc(n), oracle.oracle_odd_order_M(n))]
             for key in sorted(set(lhs.entries) | set(rhs.entries)))
     return _report("m_equidistribution", n_max, stages())
 
 
-def check_first_letter_gf(order: int = 10, catalog: SeriesCatalog | None = None) -> CheckReport:
+def check_first_letter_gf(cat: SeriesCatalog) -> CheckReport:
     """The closed form for the first-letter refinement: extraction equals the
     second-letter recursion, the defining PDE holds, and the y-linear slice
     collapses to the plain Eulerian series."""
+    order = cat.order - 1
+
     def stages():
-        cat = _catalog(order, catalog)
         first = cat.first_letter_gf
         yield _first_mismatch(
             ((n, d, j), series.extract_first(first, n, d, j), counts.eulerian_first(n, d, j))
@@ -143,12 +142,13 @@ def check_first_letter_gf(order: int = 10, catalog: SeriesCatalog | None = None)
     return _report("first_letter_gf", order, stages())
 
 
-def check_symmetrized_first(order: int = 10, catalog: SeriesCatalog | None = None) -> CheckReport:
+def check_symmetrized_first(cat: SeriesCatalog) -> CheckReport:
     """The symmetrized first-letter series: extraction matches the two-term
     Eulerian formula, and the low-descent odd part together with its
     t-reversal reconstructs the odd-x slice."""
+    order = cat.order - 1
+
     def stages():
-        cat = _catalog(order, catalog)
         sym, low = cat.first_sym_gf, cat.first_sym_odd_gf
         yield _first_mismatch(
             ((n, d, j), series.extract_first(sym, n, d, j), counts.u_count(n, d, j))
@@ -158,30 +158,29 @@ def check_symmetrized_first(order: int = 10, catalog: SeriesCatalog | None = Non
     return _report("symmetrized_first_letter", order, stages())
 
 
-def check_factor_counts(order: int = 8, n_max_oracle: int | None = None,
-                        catalog: SeriesCatalog | None = None,
-                        force: bool = False) -> CheckReport:
+def check_factor_counts(cat: SeriesCatalog, n_max_oracle: int) -> CheckReport:
     """Permutations with a factor 1nj or jn1: closed form, block recursion and
-    brute force agree entrywise."""
+    enumeration agree entrywise, enumeration for n <= min(order, n_max_oracle)."""
+    order = cat.order - 1
+
     def stages():
-        factor = _catalog(order, catalog).factor_gf
+        factor = cat.factor_gf
         yield _first_mismatch(
             ((n, d, j), series.extract_factor(factor, n, d, j), counts.e_count_rec(n, d, j))
             for n in range(3, order + 1) for d in range(n) for j in range(2, n))
         yield _support(factor, lambda m: not 2 <= m[2] <= m[1] - 1)
         yield _first_mismatch(
             ((n, d, j), counts.e_count_rec(n, d, j), table[(d, j)])
-            for n in range(3, (min(order, 8) if n_max_oracle is None else n_max_oracle) + 1)
-            for table in [oracle.oracle_E(n, force=force)]
+            for n in range(3, min(order, n_max_oracle) + 1)
+            for table in [oracle.oracle_E(n)]
             for d in range(n) for j in range(2, n))
     return _report("factor_counts", order, stages())
 
 
-def check_functional_equation(order: int = 10, catalog: SeriesCatalog | None = None) -> CheckReport:
+def check_functional_equation(cat: SeriesCatalog) -> CheckReport:
     """The functional equation tying the ballot factor series to the plain
     factor series, plus the reversal product identity for the ballot EGF."""
     def stages():
-        cat = _catalog(order, catalog)
         one = series.one(cat.order)
         t = series.monomial(cat.order, 1, e_t=1)
         one_plus_y = one + series.monomial(cat.order, 1, e_y=1)
@@ -191,23 +190,21 @@ def check_functional_equation(order: int = 10, catalog: SeriesCatalog | None = N
                     + series.t_reverse(bf) * series.subst_x_times(cat.ballot_gf, one_plus_y),
                     (one + t) * cat.factor_gf)
         yield _same(cat.ballot_gf * ballot_rev, one + (one + t) * cat.eulerian_gf)
-    return _report("functional_equation", order, stages())
+    return _report("functional_equation", cat.order - 1, stages())
 
 
-def check_ballot_cyclic_factor(order: int = 10, n_max_oracle: int = 7,
-                               catalog: SeriesCatalog | None = None,
-                               force: bool = False) -> CheckReport:
+def check_ballot_cyclic_factor(cat: SeriesCatalog, n_max_oracle: int) -> CheckReport:
     """The bridge between ballot and odd order counts around the largest
-    letter: brute-force tables satisfy b(1,j) + b(j,1) = 2 p(1,j), the cyclic
+    letter: enumerated tables satisfy b(1,j) + b(j,1) = 2 p(1,j), the cyclic
     factor series matches its partition sum, and the combined series identity
     holds."""
+    order = cat.order - 1
+
     def stages():
-        cat = _catalog(order, catalog)
         yield _first_mismatch(
             ((n, d, j), bt[(d, 1, j)] + bt[(d, j, 1)], 2 * pt[(d, 1, j)])
             for n in range(3, n_max_oracle + 1)
-            for bt, pt in [(oracle.oracle_b_factor(n, force=force),
-                            oracle.oracle_p_cyclic(n, force=force))]
+            for bt, pt in [(oracle.oracle_b_factor(n), oracle.oracle_p_cyclic(n))]
             for d in range(n) for j in range(2, n))
         yield _first_mismatch(
             ((n, d, j), series.extract_factor(cat.cyclic_factor_gf, n, d, j),
@@ -225,28 +222,26 @@ def check_ballot_cyclic_factor(order: int = 10, n_max_oracle: int = 7,
     return _report("ballot_cyclic_factor", order, stages())
 
 
-def check_neighbor_pair_gf(order: int = 10, n_max_oracle: int = 7,
-                           catalog: SeriesCatalog | None = None,
-                           force: bool = False) -> CheckReport:
+def check_neighbor_pair_gf(cat: SeriesCatalog, n_max_oracle: int) -> CheckReport:
     """The two-neighbor series: pair-weight extraction matches twice the
-    brute-force cyclic factor counts, the support respects i < j <= n-1, and
-    the brute-force counts are Toeplitz (invariant under shifting both
+    enumerated cyclic factor counts, the support respects i < j <= n-1, and
+    the enumerated counts are Toeplitz (invariant under shifting both
     neighbors)."""
     def stages():
-        pair = _catalog(order, catalog).pair_factor_gf
+        pair = cat.pair_factor_gf
         yield _support(pair, lambda m: not 1 <= m[2] < m[3] <= m[1] - 1)
         yield _first_mismatch(
             ((n, d, i, j), series.extract_quad(pair, n, d, i, j), 2 * table[(d, i, j)])
             for n in range(3, min(n_max_oracle, pair.order) + 1)
-            for table in [oracle.oracle_p_cyclic(n, force=force)]
+            for table in [oracle.oracle_p_cyclic(n)]
             for d in range((n - 1) // 2 + 1) for i in range(1, n - 1) for j in range(i + 1, n))
         yield _first_mismatch(
             ((n, d, i, j), table[(d, i, j)], table[(d, i + 1, j + 1)])
             for n in range(3, n_max_oracle + 1)
-            for table in [oracle.oracle_p_cyclic(n, force=force)]
+            for table in [oracle.oracle_p_cyclic(n)]
             for d in range((n - 1) // 2 + 1) for i in range(1, n - 1) for j in range(1, n - 1)
             if i != j)
-    return _report("neighbor_pair_gf", order, stages())
+    return _report("neighbor_pair_gf", cat.order - 1, stages())
 
 
 def mutate_catalog(cat: SeriesCatalog, name: str) -> SeriesCatalog:
@@ -261,8 +256,8 @@ def mutate_catalog(cat: SeriesCatalog, name: str) -> SeriesCatalog:
     return replace(cat, **{name: MultiSeries(s.order, terms)})
 
 
-def run_all(order: int = 10, n_max_oracle: int = 9, mutation: str | None = None,
-            force: bool = False) -> list[CheckReport]:
+def run_all(order: int = 10, n_max_oracle: int = 9,
+            mutation: str | None = None) -> list[CheckReport]:
     """Run the whole suite at one truncation order, sharing a single catalog.
 
     mutation names a catalog series to corrupt before checking (test use).
@@ -270,18 +265,17 @@ def run_all(order: int = 10, n_max_oracle: int = 9, mutation: str | None = None,
     cat = counts.build_catalog(order + 1)
     if mutation:
         cat = mutate_catalog(cat, mutation)
+    # each check is looked up at call time, so that a wrapper put on the
+    # module is the one that runs
     return [
-        check_ballot_totals(order, catalog=cat),
-        check_m_equidistribution(n_max_oracle, force=force),
-        check_first_letter_gf(order, catalog=cat),
-        check_symmetrized_first(order, catalog=cat),
-        check_factor_counts(order, n_max_oracle=min(order, n_max_oracle),
-                            catalog=cat, force=force),
-        check_functional_equation(order, catalog=cat),
-        check_ballot_cyclic_factor(order, n_max_oracle=n_max_oracle,
-                                   catalog=cat, force=force),
-        check_neighbor_pair_gf(order, n_max_oracle=n_max_oracle,
-                               catalog=cat, force=force),
+        check_ballot_totals(cat),
+        check_m_equidistribution(n_max_oracle),
+        check_first_letter_gf(cat),
+        check_symmetrized_first(cat),
+        check_factor_counts(cat, n_max_oracle),
+        check_functional_equation(cat),
+        check_ballot_cyclic_factor(cat, n_max_oracle),
+        check_neighbor_pair_gf(cat, n_max_oracle),
     ]
 
 

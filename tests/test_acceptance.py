@@ -28,7 +28,7 @@ def test_criterion_01_ballot_totals_to_14():
     ok = all(
         sum(v for (m, d), v in table.entries.items() if m == n) == counts.ballot_total(n)
         for n in range(15))
-    ok = ok and verify.check_ballot_totals(14).passed
+    ok = ok and verify.check_ballot_totals(counts.build_catalog(15)).passed
     elapsed = time.perf_counter() - start
     _certify(1, "ballot totals equal double factorials, n <= 14", ok)
     _within(5, elapsed)
@@ -44,9 +44,9 @@ def test_criterion_02_m_equidistribution_to_8():
 
 def test_criterion_03_first_letter_three_way_and_pde():
     start = time.perf_counter()
-    report = verify.check_first_letter_gf(10)  # extraction vs recursion + PDE
-    ok = report.passed
     cat = counts.build_catalog(11)
+    report = verify.check_first_letter_gf(cat)  # extraction vs recursion + PDE
+    ok = report.passed
     for n in range(1, 9):
         t = oracle.oracle_eulerian_first(n)
         for d in range(n):
@@ -59,8 +59,8 @@ def test_criterion_03_first_letter_three_way_and_pde():
 
 
 def test_criterion_04_symmetrized_first_letter_to_10():
-    report = verify.check_symmetrized_first(10)
     cat = counts.build_catalog(11)
+    report = verify.check_symmetrized_first(cat)
     ok = report.passed
     for n in range(1, 11):
         for d in range(n + 1):
@@ -72,7 +72,7 @@ def test_criterion_04_symmetrized_first_letter_to_10():
 
 def test_criterion_05_factor_counts_three_way_to_8():
     start = time.perf_counter()
-    report = verify.check_factor_counts(8, n_max_oracle=8)
+    report = verify.check_factor_counts(counts.build_catalog(9), 8)
     elapsed = time.perf_counter() - start
     _certify(5, "factor counts: oracle = recursion = closed form, n <= 8",
              report.passed)
@@ -80,7 +80,7 @@ def test_criterion_05_factor_counts_three_way_to_8():
 
 
 def test_criterion_06_functional_equation_order_10():
-    report = verify.check_functional_equation(10)
+    report = verify.check_functional_equation(counts.build_catalog(11))
     _certify(6, "functional equation and reversal product at order 10",
              report.passed)
 
@@ -99,13 +99,13 @@ def test_criterion_07_partition_sum_three_way_to_7():
 
 
 def test_criterion_08_factor_bridge_oracle_and_series():
-    report = verify.check_ballot_cyclic_factor(10, n_max_oracle=7)
+    report = verify.check_ballot_cyclic_factor(counts.build_catalog(11), 7)
     _certify(8, "b(1,j) + b(j,1) = 2 p(1,j), n <= 7, and the series identity",
              report.passed)
 
 
 def test_criterion_09_pair_series_and_toeplitz_to_7():
-    report = verify.check_neighbor_pair_gf(10, n_max_oracle=7)
+    report = verify.check_neighbor_pair_gf(counts.build_catalog(11), 7)
     _certify(9, "pair series matches 2 p(i,j) and the Toeplitz shifts, n <= 7",
              report.passed)
 

@@ -35,3 +35,27 @@ def test_traced_pass_sees_table_and_oracle_spans(capsys):
     assert spans["oracle.ballot_desc"][1] in mains
     assert spans["counts.table.A"][1] != spans["oracle.ballot_desc"][1]
     assert cli._table_entries is original
+
+
+def test_traced_verify_sees_every_check_and_its_oracle_tables(capsys):
+    # run_all must look each check up on the module at call time, and the
+    # oracle functions must take n as their first argument
+    child = _load_child()
+    tracer = child.Tracer()
+    child.instrument(tracer)
+    try:
+        assert cli.main(["verify", "--order", "4", "--n-max-oracle", "4"]) == 0
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    (main,) = [span_id for span_id, _, _, name, *_ in tracer.spans if name == "cli.main"]
+    checks = {span_id: name for span_id, parent, _, name, *_ in tracer.spans
+              if name.startswith("verify.") and parent == main}
+    assert sorted(checks.values()) == sorted(f"verify.{c}" for c in child.VERIFY_CHECKS)
+    oracle_calls = {(name, n) for _, parent, _, name, n, *_ in tracer.spans
+                    if name.startswith("oracle.") and parent in checks}
+    assert {name for name, _ in oracle_calls} == {
+        "oracle.ballot_desc", "oracle.odd_order_M", "oracle.E", "oracle.b_factor",
+        "oracle.p_cyclic"}
+    assert {n for name, n in oracle_calls if name == "oracle.ballot_desc"} == {1, 2, 3, 4}
+    assert {n for name, n in oracle_calls if name == "oracle.E"} == {3, 4}

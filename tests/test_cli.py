@@ -5,10 +5,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 from math import factorial
 from pathlib import Path
 
-from ballotperm.cli import STATS, main
+from ballotperm.cli import MAX_FORCED_BFILE_N, MAX_FORCED_ORDER, STATS, main
 
 FIXTURE = Path(__file__).parent / "data" / "b008292.txt"
 RENDER_GOLDEN = Path(__file__).parent / "data" / "render_sha256.json"
@@ -207,6 +208,29 @@ def test_verify_cap(capsys):
     assert code == 2 and "force" in err
     code, _, _ = run(capsys, "verify", "--order", "5", "--n-max-oracle", "12")
     assert code == 2
+    # --n-max-oracle is a hard ceiling: --force once let the oracle walk 11! words
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--order", "3", "--n-max-oracle", "11", "--force")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert "the ceiling 10, got 11" in err and "force" not in err
+
+
+def test_force_ceilings(capsys):
+    # no request runs without bound: past its ceiling even --force gets a
+    # one-line error that names the flag and the ceiling
+    for argv, flag, ceiling in [
+            (("verify", "--order"), "--order", MAX_FORCED_ORDER["verify"]),
+            (("dump", "--series", "ballot_gf", "--order"), "--order", MAX_FORCED_ORDER["dump"]),
+            (("verify", "--order", "2", "--n-max-oracle", "1", "--oeis-bfile", str(FIXTURE),
+              "--n"), "--n", MAX_FORCED_BFILE_N)]:
+        code, out, err = run(capsys, *argv, str(ceiling + 1), "--force")
+        assert code == 2 and out == "" and err.count("\n") == 1, argv
+        assert err.startswith(f"error: {flag} ") and f"the ceiling {ceiling}," in err, argv
+        code, _, err = run(capsys, *argv, str(ceiling + 1))
+        assert code == 2 and "--force" in err and f"the ceiling {ceiling}" in err, argv
+    code, out, err = run(capsys, "dump", "--series", "ballot_gf", "--order", "-1")
+    assert code == 2 and out == "" and err == "error: --order must be >= 0, got -1\n"
 
 
 def test_verify_rejects_negative_oracle_length(capsys):

@@ -116,14 +116,6 @@ def test_geom_times_complement_is_one(g):
     assert geom(g) * (one(ORDER) - g) == one(ORDER)
 
 
-def test_geom_bounded_power():
-    yz = monomial(ORDER, 1, e_y=1, e_z=1)
-    g = geom(yz, max_power=3)
-    assert g.coeff(0, 0, 3, 3) == 1 and g.coeff(0, 0, 4, 4) == 0
-    for k in range(5):
-        assert geom(yz, max_power=k).terms == {(0, 0, j, j): Fraction(1) for j in range(k + 1)}
-
-
 def test_exp_series():
     assert exp_series(zero(ORDER)) == one(ORDER)
     e = exp_series(x_())
@@ -369,13 +361,6 @@ def test_kernels_match_naive_power_sums(w):
     ]
     for got, want in cases:
         assert got.terms == want and canonical(got)
-
-
-@given(rational_terms(), st.integers(0, 4))
-def test_bounded_geom_matches_naive_power_sum(g, k):
-    # g may carry an x-constant part: only the cut at g**k keeps the sum finite
-    got = geom(MultiSeries(ORDER, g), max_power=k)
-    assert got.terms == ref_power_sum(g, lambda _: {0: 1}, k) and canonical(got)
 
 
 @given(rational_terms(), st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),

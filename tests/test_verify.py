@@ -64,7 +64,7 @@ def test_reports_match_golden(tmp_path, monkeypatch):
 def test_mutated_ballot_series_fails_totals():
     cat = counts.build_catalog(7)
     bad = verify.mutate_catalog(cat, "ballot_gf")
-    report = check_ballot_totals(6, catalog=bad)
+    report = check_ballot_totals(bad)
     assert not report.passed
     assert report.first_discrepancy[0] == (3,)
     assert report.compared == 4  # rows n = 0..3, the last one discrepant
@@ -86,7 +86,8 @@ def _monomial(e_t, e_x, e_y, e_z=0):
 def test_support_violation_is_reported(name, check, extra, mono):
     cat = counts.build_catalog(7)
     bad = replace(cat, **{name: getattr(cat, name) + extra})
-    report = check(6, catalog=bad)
+    # the two checks that also read brute force take its depth, here 6
+    report = check(bad) if check is verify.check_symmetrized_first else check(bad, 6)
     assert not report.passed
     assert report.first_discrepancy == (mono, 1, 0)
 
@@ -96,8 +97,8 @@ def test_toeplitz_break_is_reported(monkeypatch):
     # extraction stage reaches, is seen only by the Toeplitz stage
     real = oracle.oracle_p_cyclic
 
-    def bumped(n, force=False):
-        table = real(n, force=force)
+    def bumped(n):
+        table = real(n)
         if n != 6:
             return table
         entries = dict(table.entries)
@@ -106,19 +107,20 @@ def test_toeplitz_break_is_reported(monkeypatch):
 
     monkeypatch.setattr(oracle, "oracle_p_cyclic", bumped)
     table = real(6)
-    report = verify.check_neighbor_pair_gf(3, n_max_oracle=6)
+    cat = counts.build_catalog(4)
+    report = verify.check_neighbor_pair_gf(cat, 6)
     assert report.first_discrepancy == ((6, 0, 1, 3), table[(0, 1, 3)],
                                         table[(0, 2, 4)] + 1)
-    assert verify.check_neighbor_pair_gf(3, n_max_oracle=5).passed
+    assert verify.check_neighbor_pair_gf(cat, 5).passed
 
 
 def test_a_failing_stage_skips_the_later_stages(monkeypatch):
-    def unreachable(n, force=False):
+    def unreachable(n):
         raise AssertionError("the brute-force stage ran after a failed stage")
 
     monkeypatch.setattr(oracle, "oracle_E", unreachable)
     bad = verify.mutate_catalog(counts.build_catalog(7), "factor_gf")
-    report = verify.check_factor_counts(6, catalog=bad)
+    report = verify.check_factor_counts(bad, 6)
     assert not report.passed and report.first_discrepancy[0][0] == 3
 
 
@@ -134,7 +136,7 @@ def test_recursion_mutation_is_caught():
     # patch by hand: everything memoized downstream must be dropped afterwards
     try:
         counts.eulerian_first = warped
-        report = verify.check_first_letter_gf(5)
+        report = verify.check_first_letter_gf(counts.build_catalog(6))
         assert not report.passed
         assert report.first_discrepancy[0] == (4, 1, 2)
     finally:
@@ -159,12 +161,12 @@ def test_m_equidistribution_small():
 
 def test_ballot_totals_order_zero():
     # the empty permutation alone; the empty double-factorial products are 1
-    assert check_ballot_totals(0).passed
+    assert check_ballot_totals(counts.build_catalog(1)).passed
 
 
 @pytest.mark.parametrize("order", [0, 1, 4, 9])
 def test_ballot_totals_compares_one_row_per_length(order):
-    report = check_ballot_totals(order)
+    report = check_ballot_totals(counts.build_catalog(order + 1))
     assert report.passed and report.compared == order + 1
 
 
