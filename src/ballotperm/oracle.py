@@ -1,12 +1,15 @@
 """Ground-truth counts by exhaustive enumeration, in two cached walks.
 
-The word walk streams S_n in lexicographic order once and reads, per word,
-its descents, the minimum of its running height (ballot iff it is >= 0), its
-first letter and the two neighbours of n; it fills the A_first, b, E and
-b_factor tables.  The odd-cycle walk builds every odd order permutation of
-[n] once, cycle by cycle: each cycle opens at the smallest unused letter and
-closes only at odd length.  It fills the M, p and (odd n) l tables.  Every
-count is one visited object read off, never a formula.
+The word walk streams S_{n-1} once and puts n into each of the n gaps of
+every word, so it visits each word of S_n once, as (word of S_{n-1}, gap).
+One pass over the shorter word and a right-to-left sweep of its gaps give,
+per word of S_n, its descents, whether its running height stays >= 0
+(ballot), its first letter and the two neighbours of n; it fills the
+A_first, b, E and b_factor tables.  The odd-cycle walk builds every odd
+order permutation of [n] once, cycle by cycle: each cycle opens at the
+smallest unused letter and closes only at odd length.  It fills the M, p
+and (odd n) l tables.  Every count is one visited object read off, never a
+formula.
 
 Tables are deterministic and, once built, must be treated as immutable
 (results are cached).  n is capped at ENUMERATION_CAP = 10, a hard ceiling:
@@ -50,37 +53,75 @@ def _check_n(n: int, minimum: int) -> None:
 
 @lru_cache(maxsize=None)
 def _word_tables(n: int) -> dict[str, CountTable]:
-    """One pass over S_n filling the A_first, b, E and b_factor tables."""
-    if n == 0:                  # the empty word is ballot with no descents
-        return {"b": CountTable("b", 0, {(0,): 1})}
-    first, ballot, e, factor = {}, {}, {}, {}
-    for w in permutations(range(1, n + 1)):
-        d = h = low = 0
+    """One walk over S_n, as S_{n-1} with n inserted, filling the A_first, b,
+    E and b_factor tables.
+
+    Every word of S_n is a word w of S_{n-1} with n put into one of its n
+    gaps.  One pass over w records its descents d, the height after each
+    letter and `neg`, the first position whose height is negative (len(w)
+    if none); then the gaps are read right to left with `suf`, the minimum
+    height from position k on.  n in front: first letter n, d + 1 descents,
+    never ballot.  n at the end: d descents, ballot iff w is.  n between
+    a = w[k-1] and b = w[k]: the step a -> b becomes a -> n -> b, so the
+    word has d + [a < b] descents, every height from b on moves by -s with
+    s = +1 if a < b else -1, and the word is ballot iff k <= neg and
+    suf >= s.
+    """
+    if n < 2:                   # the empty word and the word 1: ballot, no descents
+        tables = {"b": {(0,): 1}} if n == 0 else {
+            "A_first": {(0, 1): 1}, "b": {(0,): 1}, "E": {}, "b_factor": {}}
+        return {stat: CountTable(stat, n, entries) for stat, entries in tables.items()}
+    m = n - 1
+    first = [[0] * (n + 1) for _ in range(n)]   # first[d][j]
+    ballot = [0] * n
+    e, factor = {}, {}
+    for w in permutations(range(1, n)):
+        d = h = 0
+        heights = [0]
+        neg = m
         prev = w[0]
-        for x in w:
+        for k in range(1, m):
+            x = w[k]
             if x < prev:
                 d += 1
                 h -= 1
-                if h < low:
-                    low = h
-            elif x > prev:
+                if h < 0 and neg == m:
+                    neg = k
+            else:
                 h += 1
+            heights.append(h)
             prev = x
-        key = (d, w[0])
-        first[key] = first.get(key, 0) + 1
-        if low == 0:
-            ballot[d,] = ballot.get((d,), 0) + 1
-        k = w.index(n)
-        if 0 < k < n - 1:
-            a, b = w[k - 1], w[k + 1]
-            if a == 1 or b == 1:    # factor 1nj or jn1: j is the other neighbour
-                key = (d, a + b - 1)
+        w0 = w[0]
+        row_d, row_up = first[d], first[d + 1]
+        row_d[w0] += 1                  # n at the end
+        if neg == m:
+            ballot[d] += 1
+        suf = h
+        b = w[m - 1]
+        for k in range(m - 1, 0, -1):   # n between a and b
+            if heights[k] < suf:
+                suf = heights[k]
+            a = w[k - 1]
+            if a < b:
+                row_up[w0] += 1
+                dn = d + 1
+                is_ballot = k <= neg and suf >= 1
+            else:
+                row_d[w0] += 1
+                dn = d
+                is_ballot = k <= neg and suf >= -1
+            if a == 1 or b == 1:        # factor 1nj or jn1: j is the other neighbour
+                key = (dn, a + b - 1)
                 e[key] = e.get(key, 0) + 1
-            if low == 0:
-                key = (d, a, b)
+            if is_ballot:
+                ballot[dn] += 1
+                key = (dn, a, b)
                 factor[key] = factor.get(key, 0) + 1
-    return {"A_first": CountTable("A_first", n, first), "b": CountTable("b", n, ballot),
-            "E": CountTable("E", n, e), "b_factor": CountTable("b_factor", n, factor)}
+            b = a
+        row_up[n] += 1                  # n in front
+    tables = {"A_first": {(d, j): c for d, row in enumerate(first) for j, c in enumerate(row) if c},
+              "b": {(d,): c for d, c in enumerate(ballot) if c}, "E": e, "b_factor": factor}
+    return {stat: CountTable(stat, n, entries) for stat, entries in tables.items()}
 
 
 @lru_cache(maxsize=None)

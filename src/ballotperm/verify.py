@@ -195,17 +195,17 @@ def check_functional_equation(cat: SeriesCatalog) -> CheckReport:
 
 def check_ballot_cyclic_factor(cat: SeriesCatalog, n_max_oracle: int) -> CheckReport:
     """The bridge between ballot and odd order counts around the largest
-    letter: enumerated tables satisfy b(1,j) + b(j,1) = 2 p(1,j), the cyclic
-    factor series matches its partition sum, and the combined series identity
-    holds."""
+    letter: enumerated tables satisfy b(i,j) + b(j,i) = 2 p(i,j) at every pair
+    1 <= i < j <= n-1 (the paper's identity is i = 1), the cyclic factor series
+    matches its partition sum, and the combined series identity holds."""
     order = cat.order - 1
 
     def stages():
         yield _first_mismatch(
-            ((n, d, j), bt[(d, 1, j)] + bt[(d, j, 1)], 2 * pt[(d, 1, j)])
+            ((n, d, i, j), bt[(d, i, j)] + bt[(d, j, i)], 2 * pt[(d, i, j)])
             for n in range(3, n_max_oracle + 1)
             for bt, pt in [(oracle.oracle_b_factor(n), oracle.oracle_p_cyclic(n))]
-            for d in range(n) for j in range(2, n))
+            for d in range(n) for i in range(1, n - 1) for j in range(i + 1, n))
         yield _first_mismatch(
             ((n, d, j), series.extract_factor(cat.cyclic_factor_gf, n, d, j),
              counts.p_count_partition(n, d, j))
@@ -284,8 +284,9 @@ def check_oeis_eulerian(path, n_max: int = 10) -> CheckReport:
 
     The file holds lines 'index value' (1-based, blank lines and # comments
     allowed); every line whose index falls inside the computed triangle must
-    match.  A file with no such line compares nothing and does not pass.
-    Malformed lines raise ValueError.
+    match.  Only the rows up to the largest index in the file are computed.  A
+    file with no such line compares nothing and does not pass.  Malformed lines
+    raise ValueError.
     """
     def stages():
         entries: list[tuple[int, int]] = []
@@ -301,7 +302,11 @@ def check_oeis_eulerian(path, n_max: int = 10) -> CheckReport:
                     entries.append((int(parts[0]), int(parts[1])))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
-        triangle = [(n, d, counts.eulerian(n, d)) for n in range(1, n_max + 1) for d in range(n)]
+        # rows 1..n hold the first n(n+1)/2 indices: build only those the file reaches
+        top, rows = max((k for k, _ in entries), default=0), 0
+        while rows < n_max and rows * (rows + 1) // 2 < top:
+            rows += 1
+        triangle = [(n, d, counts.eulerian(n, d)) for n in range(1, rows + 1) for d in range(n)]
         yield _first_mismatch(((k, n, d), ours, value)
                               for k, value in entries if 1 <= k <= len(triangle)
                               for n, d, ours in [triangle[k - 1]])

@@ -1,0 +1,71 @@
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_json.py"
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("bench_json", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _record(path: Path, workload: str, seed: int, started: str, wall: float,
+            trace: int = 0, rev: str = "abc", failed: int = 0) -> None:
+    provenance = {"python": "3.11.7", "nproc": 2, "cpu": "Test CPU", "git_rev": rev,
+                  "source_sha256": "sha-" + rev, "started_utc": started, "seed": seed,
+                  "seconds": 40.0, "trace": trace,
+                  "workload": {"name": workload, "why": "", "requests": []}}
+    metrics = {"wall_s": {"value": wall, "unit": "s"},
+               "peak_rss_mb": {"value": 20.5, "unit": "MB"}}
+    path.mkdir(parents=True, exist_ok=True)
+    (path / f"record-{workload}-seed{seed}-trace{trace}.json").write_text(json.dumps(
+        {"provenance": provenance, "metrics": metrics, "attempted": 10, "failed": failed}))
+
+
+def test_writes_spreads_seeds_and_provenance(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    # started out of seed order: runs are listed in the order they started
+    for k, (seed, wall) in enumerate([(3, 1.0), (1, 3.0), (2, 2.0), (4, 5.0)]):
+        _record(parent / f"run{k}", "table_session", seed, f"2026-01-01T00:0{k}:00", wall)
+    _record(parent / "traced", "table_session", 1, "2026-01-01T00:09:00", 9.0, trace=1)
+    _record(change / "a", "table_session", 1, "2026-01-01T01:00:00", 0.4, rev="def")
+    _record(change / "b", "certify_oracle", 1, "2026-01-01T01:01:00", 0.8, rev="def",
+            failed=1)
+    out = tmp_path / "BENCH_x.json"
+    tool = _load_tool()
+    assert tool.main(["--label", "x", "--parent", str(parent),
+                      "--change", str(change / "a"), str(change / "b" / "record-certify_oracle-"
+                                                         "seed1-trace0.json"),
+                      "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["label"] == "x"
+    assert doc["provenance"] == {"parent": {"source_sha256": ["sha-abc"], "git_rev": ["abc"]},
+                                 "change": {"source_sha256": ["sha-def"], "git_rev": ["def"]}}
+    assert doc["host"] == [{"python": "3.11.7", "nproc": 2, "cpu": "Test CPU"}]
+    ts = doc["workloads"]["table_session"]
+    assert ts["parent"]["seeds"] == [3, 1, 2, 4]      # the traced record is skipped
+    assert ts["parent"]["seconds"] == [40.0]
+    assert ts["parent"]["attempted"] == 40 and ts["parent"]["failed"] == 0
+    wall = ts["parent"]["metrics"]["wall_s"]
+    # perfbench's quartiles: statistics.quantiles(n=4), exclusive method
+    assert wall == {"unit": "s", "median": 2.5, "q1": 1.25, "q3": 4.5,
+                    "runs": [1.0, 3.0, 2.0, 5.0]}
+    assert ts["change"]["metrics"]["wall_s"] == {"unit": "s", "median": 0.4, "q1": 0.4,
+                                                 "q3": 0.4, "runs": [0.4]}
+    assert ts["change"]["metrics"]["peak_rss_mb"]["unit"] == "MB"
+    assert "parent" not in doc["workloads"]["certify_oracle"]
+    assert doc["workloads"]["certify_oracle"]["change"]["failed"] == 1
+
+
+def test_a_side_without_records_is_an_error(tmp_path, capsys):
+    _record(tmp_path / "parent", "table_session", 1, "2026-01-01T00:00:00", 0.5)
+    (tmp_path / "change").mkdir()
+    tool = _load_tool()
+    assert tool.main(["--label", "x", "--parent", str(tmp_path / "parent"),
+                      "--change", str(tmp_path / "change"),
+                      "--out", str(tmp_path / "out.json")]) == 2
+    assert "--change" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()

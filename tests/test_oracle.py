@@ -59,6 +59,39 @@ def _naive_tables(n: int) -> dict[str, dict]:
     return out
 
 
+def _streaming_word_tables(n: int) -> dict[str, dict]:
+    """The word tables by streaming S_n itself and reading, per word, its
+    descents, its lowest running height, its first letter and the two
+    neighbours of n (found by `w.index(n)`)."""
+    first, ballot, e, factor = {}, {}, {}, {}
+    for w in permutations(range(1, n + 1)):
+        d = h = low = 0
+        prev = w[0]
+        for x in w:
+            if x < prev:
+                d += 1
+                h -= 1
+                if h < low:
+                    low = h
+            elif x > prev:
+                h += 1
+            prev = x
+        key = (d, w[0])
+        first[key] = first.get(key, 0) + 1
+        if low == 0:
+            ballot[d,] = ballot.get((d,), 0) + 1
+        k = w.index(n)
+        if 0 < k < n - 1:
+            a, b = w[k - 1], w[k + 1]
+            if a == 1 or b == 1:
+                key = (d, a + b - 1)
+                e[key] = e.get(key, 0) + 1
+            if low == 0:
+                key = (d, a, b)
+                factor[key] = factor.get(key, 0) + 1
+    return {"A_first": first, "b": ballot, "E": e, "b_factor": factor}
+
+
 def test_count_table_access():
     t = CountTable("b", 3, {(0,): 1, (1,): 2})
     assert t[0] == 1 and t[(1,)] == 2 and t[5] == 0
@@ -187,6 +220,15 @@ def test_walks_match_naive_reference(n):
     for stat, (fn, _) in TABLES.items():
         if _accepted(stat, n):
             assert fn(n).entries == naive[stat], (stat, n)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_insertion_walk_matches_streaming_walk(n):
+    want = _streaming_word_tables(n)
+    got = oracle._word_tables(n)
+    assert set(got) == set(want)
+    for stat, entries in want.items():
+        assert got[stat].entries == entries, (stat, n)
 
 
 def test_tables_match_golden_hashes():

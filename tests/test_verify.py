@@ -114,6 +114,29 @@ def test_toeplitz_break_is_reported(monkeypatch):
     assert verify.check_neighbor_pair_gf(cat, 5).passed
 
 
+def test_bridge_break_off_the_first_letter_is_reported(monkeypatch):
+    # a bumped ballot count with left neighbour 2 of n: the paper's bridge at
+    # i = 1 still holds, the bridge at the pair (2, 3) does not
+    real = oracle.oracle_b_factor
+
+    def bumped(n):
+        table = real(n)
+        if n != 5:
+            return table
+        entries = dict(table.entries)
+        entries[(1, 2, 3)] = table[(1, 2, 3)] + 1
+        return replace(table, entries=entries)
+
+    monkeypatch.setattr(oracle, "oracle_b_factor", bumped)
+    bt, pt, bad = real(5), oracle.oracle_p_cyclic(5), bumped(5)
+    assert all(bad[(d, 1, j)] == bt[(d, 1, j)] for d in range(5) for j in range(2, 5))
+    report = verify.check_ballot_cyclic_factor(counts.build_catalog(4), 5)
+    assert not report.passed
+    assert report.first_discrepancy == ((5, 1, 2, 3), bt[(1, 2, 3)] + bt[(1, 3, 2)] + 1,
+                                        2 * pt[(1, 2, 3)])
+    assert verify.check_ballot_cyclic_factor(counts.build_catalog(4), 4).passed
+
+
 def test_a_failing_stage_skips_the_later_stages(monkeypatch):
     def unreachable(n):
         raise AssertionError("the brute-force stage ran after a failed stage")
@@ -189,6 +212,14 @@ def test_oeis_compares_every_line_inside_the_triangle(n_max, compared):
     # the fixture holds the first 78 entries, rows n = 1..12
     report = check_oeis_eulerian(FIXTURE, n_max=n_max)
     assert report.passed and report.compared == compared
+
+
+def test_oeis_builds_only_the_rows_the_file_reaches():
+    # the fixture ends in row 12, so a triangle cap of 600 computes rows 1..12
+    counts.clear_caches()
+    report = check_oeis_eulerian(FIXTURE, n_max=600)
+    assert report.passed and report.compared == 78
+    assert counts._eulerian_row.cache_info().currsize == 12
 
 
 def test_oeis_detects_alteration(tmp_path):
