@@ -27,7 +27,8 @@ MAX_ORACLE_N = oracle.ENUMERATION_CAP
 # --force lifts MAX_ORDER up to these ceilings, each near 30 s or below on a
 # 2-vCPU Xeon with Python 3.11: verify --order 32 takes 24 s and 68 MB with
 # --n-max-oracle 10, dump --order 38 takes 20 s and 113 MB, and the
-# --oeis-bfile triangle at --n 600 takes 22 s and 120 MB (it grows as n^3).
+# --oeis-bfile triangle, which grows as n^3, takes 22 s and 120 MB for a b-file
+# that reaches row 600 (only the rows up to the file's largest index are built).
 MAX_FORCED_ORDER = {"verify": 32, "dump": 38}
 MAX_FORCED_BFILE_N = 600
 

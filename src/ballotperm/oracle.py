@@ -5,11 +5,14 @@ every word, so it visits each word of S_n once, as (word of S_{n-1}, gap).
 One pass over the shorter word and a right-to-left sweep of its gaps give,
 per word of S_n, its descents, whether its running height stays >= 0
 (ballot), its first letter and the two neighbours of n; it fills the
-A_first, b, E and b_factor tables.  The odd-cycle walk builds every odd
-order permutation of [n] once, cycle by cycle: each cycle opens at the
-smallest unused letter and closes only at odd length.  It fills the M, p
-and (odd n) l tables.  Every count is one visited object read off, never a
-formula.
+A_first, b, E and b_factor tables.  The odd-cycle walk fills the M, p and
+(odd n) l tables.  An odd order permutation of [n] either fixes n, and is
+one of [n-1] with the same M (that M table is carried over from n - 1), or
+reads a -> n -> b -> c in a cycle, and is an odd order permutation of
+[n-1] minus {b} with a -> c spliced open.  The walk builds every odd order
+permutation of [n-2] once, cycle by cycle (each cycle opens at the smallest
+unused letter and closes only at odd length), and reads each splice off in
+O(1).  Every count is one visited object read off, never a formula.
 
 Tables are deterministic and, once built, must be treated as immutable
 (results are cached).  n is capped at ENUMERATION_CAP = 10, a hard ceiling:
@@ -124,40 +127,76 @@ def _word_tables(n: int) -> dict[str, CountTable]:
     return {stat: CountTable(stat, n, entries) for stat, entries in tables.items()}
 
 
+def _odd_order_cycles(m: int):
+    """Yield every odd order permutation of [m] once, as its list of cycles,
+    each (letters in the order of the map i -> p_i, cyclic descents).
+
+    A cycle opens at the smallest unused letter and closes only at odd
+    length; `d` counts its descents so far, and on closing the wrap pair
+    (last, first) is added.  m = 0 yields nothing.
+    """
+    def grow(cycle, d, rest, closed):
+        if len(cycle) % 2:      # close the cycle here, or grow it further below
+            done = closed + [(cycle, d + (cycle[-1] > cycle[0]))]
+            if rest:
+                yield from grow(rest[:1], 0, rest[1:], done)
+            else:
+                yield done
+        last = cycle[-1]
+        for k, x in enumerate(rest):
+            yield from grow(cycle + (x,), d + (last > x), rest[:k] + rest[k + 1:], closed)
+
+    if m:
+        yield from grow((1,), 0, tuple(range(2, m + 1)), [])
+
+
 @lru_cache(maxsize=None)
 def _odd_cycle_tables(n: int) -> dict[str, CountTable]:
-    """One DFS over the odd order permutations of [n] filling M, p and l.
+    """The M, p and l tables of the odd order permutations of [n], each
+    visited once by inserting n.
 
-    A cycle is grown in the direction of the map i -> p_i; `d` counts its
-    descents so far, and on closing the wrap pair (last, start) is added, so
-    the cycle's M part is min(cyclic descents, cyclic ascents) (0 for a fixed
-    point).  n never opens a cycle longer than 1, so once placed its
-    predecessor `pred` is known; its successor `succ` is the next letter
-    placed, or the start when the cycle closes right after n.  0 means unset.
+    Either n is fixed, and the permutation is one on [n-1] with the same M:
+    those are carried over from `_odd_cycle_tables(n - 1)["M"]`, with no p
+    and no l entry.  Or its cycle reads ... a -> n -> b -> c ...; removing n
+    and b leaves an odd order permutation on [n-1] minus {b} in which
+    a -> c, and this is a bijection.  M sums min(D, L - D) over the cycles,
+    D a cycle's cyclic descents and L its length.  So the walk takes every
+    odd order permutation s of [n-2] (letters >= b move up by one, which
+    keeps every D and L), every letter a of s with
+    successor c, and every b in 1..n-1.  The cycle of a then has
+    D - [a > c] + 1 + [c < b] cyclic descents and length L + 2, n follows
+    a + [a >= b] and precedes b, and the permutation is a full n-cycle iff s
+    is a full (n-2)-cycle.
     """
-    m_counts, p_counts, l_counts = {}, {}, {}
-
-    def grow(start, last, length, d, m, rest, pred, succ):
-        if length % 2:          # close the cycle here, or grow it further below
-            d_cyc = d + (last > start)
-            m_done = m + min(d_cyc, length - d_cyc)
-            succ_done = start if last == n else succ
-            if rest:
-                grow(rest[0], rest[0], 1, 0, m_done, rest[1:], pred, succ_done)
-            else:
-                m_counts[m_done,] = m_counts.get((m_done,), 0) + 1
-                if pred:
-                    key = (m_done, pred, succ_done)
-                    p_counts[key] = p_counts.get(key, 0) + 1
-                if length == n:
-                    l_counts[m_done,] = l_counts.get((m_done,), 0) + 1
-        for k, x in enumerate(rest):
-            grow(start, x, length + 1, d + (last > x), m, rest[:k] + rest[k + 1:],
-                 last if x == n else pred, x if last == n else succ)
-
-    grow(1, 1, 1, 0, 0, tuple(range(2, n + 1)), 0, 0)
-    return {"M": CountTable("M", n, m_counts), "p": CountTable("p", n, p_counts),
-            "l": CountTable("l", n, l_counts)}
+    if n == 1:
+        tables = {"M": {(0,): 1}, "p": {}, "l": {(0,): 1}}
+        return {stat: CountTable(stat, n, entries) for stat, entries in tables.items()}
+    m_counts = [0] * n
+    for (d,), count in _odd_cycle_tables(n - 1)["M"].entries.items():   # n fixed
+        m_counts[d] += count
+    p_counts = [[[0] * n for _ in range(n)] for _ in range(n)]          # p_counts[d][i][j]
+    l_counts = [0] * n
+    for cycles in _odd_order_cycles(n - 2):
+        total = sum(min(d, len(cycle) - d) for cycle, d in cycles)
+        full = n % 2 and len(cycles) == 1
+        for cycle, d in cycles:
+            size = len(cycle)
+            rest = total - min(d, size - d)
+            for a, c in zip(cycle, cycle[1:] + cycle[:1]):
+                d_new = d - (a > c) + 1             # for b <= c; one more for b > c
+                m_low = rest + min(d_new, size + 2 - d_new)
+                m_high = rest + min(d_new + 1, size + 1 - d_new)
+                for b in range(1, n):
+                    m = m_low if b <= c else m_high
+                    m_counts[m] += 1
+                    p_counts[m][a + (a >= b)][b] += 1
+                    if full:
+                        l_counts[m] += 1
+    tables = {"M": {(d,): c for d, c in enumerate(m_counts) if c},
+              "p": {(d, i, j): c for d, rows in enumerate(p_counts)
+                    for i, row in enumerate(rows) for j, c in enumerate(row) if c},
+              "l": {(d,): c for d, c in enumerate(l_counts) if c}}
+    return {stat: CountTable(stat, n, entries) for stat, entries in tables.items()}
 
 
 def oracle_eulerian_first(n: int) -> CountTable:

@@ -58,11 +58,16 @@ def test_writes_spreads_seeds_and_provenance(tmp_path):
     assert ts["change"]["metrics"]["peak_rss_mb"]["unit"] == "MB"
     assert "parent" not in doc["workloads"]["certify_oracle"]
     assert doc["workloads"]["certify_oracle"]["change"]["failed"] == 1
+    # traced records are listed apart, as perfbench wrote their metrics
+    assert doc["traced"] == {"table_session": {"parent": [
+        {"seed": 1, "metrics": {"wall_s": {"value": 9.0, "unit": "s"},
+                                "peak_rss_mb": {"value": 20.5, "unit": "MB"}}}]}}
 
 
 def test_a_side_without_records_is_an_error(tmp_path, capsys):
     _record(tmp_path / "parent", "table_session", 1, "2026-01-01T00:00:00", 0.5)
-    (tmp_path / "change").mkdir()
+    # a traced record alone has no end-to-end figures
+    _record(tmp_path / "change", "table_session", 1, "2026-01-01T00:01:00", 0.5, trace=1)
     tool = _load_tool()
     assert tool.main(["--label", "x", "--parent", str(tmp_path / "parent"),
                       "--change", str(tmp_path / "change"),

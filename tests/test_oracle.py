@@ -92,6 +92,39 @@ def _streaming_word_tables(n: int) -> dict[str, dict]:
     return {"A_first": first, "b": ballot, "E": e, "b_factor": factor}
 
 
+def _dfs_odd_cycle_tables(n: int) -> dict[str, dict]:
+    """The cycle tables by one DFS over the odd order permutations of [n]
+    themselves, each cycle opened at the smallest unused letter and closed
+    only at odd length.  On closing, the wrap pair (last, start) is added to
+    the cycle's descents `d`, so its M part is min(cyclic descents, cyclic
+    ascents).  n never opens a cycle longer than 1, so once placed its
+    predecessor `pred` is known; its successor `succ` is the next letter
+    placed, or the start when the cycle closes right after n.  0 means unset.
+    """
+    m_counts, p_counts, l_counts = {}, {}, {}
+
+    def grow(start, last, length, d, m, rest, pred, succ):
+        if length % 2:          # close the cycle here, or grow it further below
+            d_cyc = d + (last > start)
+            m_done = m + min(d_cyc, length - d_cyc)
+            succ_done = start if last == n else succ
+            if rest:
+                grow(rest[0], rest[0], 1, 0, m_done, rest[1:], pred, succ_done)
+            else:
+                m_counts[m_done,] = m_counts.get((m_done,), 0) + 1
+                if pred:
+                    key = (m_done, pred, succ_done)
+                    p_counts[key] = p_counts.get(key, 0) + 1
+                if length == n:
+                    l_counts[m_done,] = l_counts.get((m_done,), 0) + 1
+        for k, x in enumerate(rest):
+            grow(start, x, length + 1, d + (last > x), m, rest[:k] + rest[k + 1:],
+                 last if x == n else pred, x if last == n else succ)
+
+    grow(1, 1, 1, 0, 0, tuple(range(2, n + 1)), 0, 0)
+    return {"M": m_counts, "p": p_counts, "l": l_counts}
+
+
 def test_count_table_access():
     t = CountTable("b", 3, {(0,): 1, (1,): 2})
     assert t[0] == 1 and t[(1,)] == 2 and t[5] == 0
@@ -231,6 +264,29 @@ def test_insertion_walk_matches_streaming_walk(n):
         assert got[stat].entries == entries, (stat, n)
 
 
+@pytest.mark.parametrize("n", [8, 9])
+def test_insertion_odd_walk_matches_dfs(n):
+    want = _dfs_odd_cycle_tables(n)
+    got = oracle._odd_cycle_tables(n)
+    assert set(got) == set(want)
+    for stat, entries in want.items():
+        assert got[stat].entries == entries, (stat, n)
+
+
+# OEIS A000246: odd order permutations of [n], a(n) = a(n-1) + (n-1)(n-2) a(n-2)
+ODD_ORDER = (1, 1, 1, 3, 9, 45, 225, 1575, 11025, 99225, 893025)
+
+
+@pytest.mark.parametrize("n", range(1, oracle.ENUMERATION_CAP + 1))
+def test_odd_cycle_totals(n):
+    tables = oracle._odd_cycle_tables(n)
+    assert tables["M"].total() == ODD_ORDER[n]
+    # n is not fixed in exactly the permutations with a p entry
+    not_fixed = (n - 1) * (n - 2) * ODD_ORDER[n - 2] if n >= 2 else 0
+    assert tables["p"].total() == not_fixed
+    assert tables["l"].total() == (factorial(n - 1) if n % 2 else 0)
+
+
 def test_tables_match_golden_hashes():
     # recorded from the per-table enumerations that the two walks replaced
     golden = json.loads(GOLDEN.read_text())
@@ -247,3 +303,9 @@ def test_word_tables_skip_the_odd_cycle_walk():
     oracle.clear_caches()
     oracle_ballot_desc(6), oracle_eulerian_first(6), oracle_E(6)
     assert oracle._odd_cycle_tables.cache_info().currsize == 0
+
+
+def test_odd_cycle_tables_skip_the_word_walk():
+    oracle.clear_caches()
+    oracle_odd_order_M(6), oracle_p_cyclic(6), oracle_l(7)
+    assert oracle._word_tables.cache_info().currsize == 0

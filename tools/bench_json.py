@@ -12,8 +12,9 @@ workload, side and end-to-end metric the output holds the median, the
 quartiles (as perfbench/run.py prints them) and every run's value, in the
 order the runs started; with them the seeds, the run length, the failures and
 the source sha256, git revision and host that each record's provenance names.
-Traced records (--trace 1) carry per-layer figures instead and are skipped.
-Standard library only.
+Traced records (--trace 1, record-W-seedS-trace1.json) carry per-layer figures
+instead; they are listed apart, under "traced", one entry per record with its
+seed and metrics as perfbench wrote them.  Standard library only.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ def _records(paths: list[str]) -> list[dict]:
     for path in map(Path, paths):
         files += sorted(path.rglob("record-*.json")) if path.is_dir() else [path]
     records = [json.loads(f.read_text(encoding="utf-8")) for f in files]
-    return sorted((r for r in records if not r["provenance"]["trace"]),
-                  key=lambda r: r["provenance"]["started_utc"])
+    return sorted(records, key=lambda r: r["provenance"]["started_utc"])
 
 
 def _spread(values: list[float]) -> dict:
@@ -48,7 +48,9 @@ def _unique(values) -> list:
 
 
 def summarize(side: list[dict]) -> dict:
-    """Per workload: the seeds, run lengths, failures and metric spreads of one side."""
+    """Per workload: the seeds, run lengths, failures and metric spreads of
+    one side's untraced runs."""
+    side = [r for r in side if not r["provenance"]["trace"]]
     out = {}
     for name in _unique(r["provenance"]["workload"]["name"] for r in side):
         runs = [r for r in side if r["provenance"]["workload"]["name"] == name]
@@ -66,15 +68,22 @@ def summarize(side: list[dict]) -> dict:
 
 def bench_doc(label: str, sides: dict[str, list[dict]]) -> dict:
     workloads: dict[str, dict] = {}
+    traced: dict[str, dict] = {}
     for side, records in sides.items():
         for name, summary in summarize(records).items():
             workloads.setdefault(name, {})[side] = summary
+        for r in records:
+            if r["provenance"]["trace"]:
+                name = r["provenance"]["workload"]["name"]
+                traced.setdefault(name, {}).setdefault(side, []).append(
+                    {"seed": r["provenance"]["seed"], "metrics": r["metrics"]})
     provenance = {side: {key: _unique(r["provenance"][key] for r in records)
                          for key in ("source_sha256", "git_rev")}
                   for side, records in sides.items()}
     host = _unique({key: r["provenance"][key] for key in ("python", "nproc", "cpu")}
                    for records in sides.values() for r in records)
-    return {"label": label, "provenance": provenance, "host": host, "workloads": workloads}
+    return {"label": label, "provenance": provenance, "host": host, "workloads": workloads,
+            "traced": traced}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -86,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     sides = {"parent": _records(args.parent), "change": _records(args.change)}
     for side, records in sides.items():
-        if not records:
+        if not summarize(records):
             print(f"error: no untraced perfbench record under --{side}", file=sys.stderr)
             return 2
     out = Path(args.out or f"BENCH_{args.label}.json")
