@@ -1,18 +1,14 @@
 """Ground-truth counts by exhaustive enumeration, in two cached walks.
 
-The word walk streams S_{n-1} once and puts n into each of the n gaps of
-every word, so it visits each word of S_n once, as (word of S_{n-1}, gap).
-One pass over the shorter word and a right-to-left sweep of its gaps give,
-per word of S_n, its descents, whether its running height stays >= 0
-(ballot), its first letter and the two neighbours of n; it fills the
-A_first, b, E and b_factor tables.  The odd-cycle walk fills the M, p and
-(odd n) l tables.  An odd order permutation of [n] either fixes n, and is
-one of [n-1] with the same M (that M table is carried over from n - 1), or
-reads a -> n -> b -> c in a cycle, and is an odd order permutation of
-[n-1] minus {b} with a -> c spliced open.  The walk builds every odd order
-permutation of [n-2] once, cycle by cycle (each cycle opens at the smallest
-unused letter and closes only at odd length), and reads each splice off in
-O(1).  Every count is one visited object read off, never a formula.
+The word walk (A_first, b, E, b_factor) visits S_{n-1} once: each word of
+S_n is one of them with n put into one of its n gaps, and what n does in a
+gap depends only on the up-down pattern of the shorter word (Stanley, EC1
+1.6), so the gaps are classified once per pattern.  The odd-cycle walk (M,
+p and, for odd n, l) carries the odd order permutations that fix n over
+from n - 1 and builds every other one from an odd order permutation of
+[n-2], cycle by cycle, with a -> n -> b spliced into a cycle.  Each visited
+word or odd order permutation is tallied by class, and each class is
+expanded over the gaps or over b: a count is never a formula.
 
 Tables are deterministic and, once built, must be treated as immutable
 (results are cached).  n is capped at ENUMERATION_CAP = 10, a hard ceiling:
@@ -23,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, permutations, product
+from operator import lt
 
 ENUMERATION_CAP = 10
 
@@ -54,77 +51,93 @@ def _check_n(n: int, minimum: int) -> None:
                          f"got {n}")
 
 
+def _zeros(size: int, *rest: int) -> list:
+    """Zero counts in nested lists of the given shape, indexed like the table keys."""
+    return [_zeros(*rest) for _ in range(size)] if rest else [0] * size
+
+
+def _nonzero(rows: list, key: tuple[int, ...] = ()):
+    """Yield (index tuple, count) for every nonzero count in nested lists, in key order."""
+    for i, x in enumerate(rows):
+        if isinstance(x, list):
+            yield from _nonzero(x, key + (i,))
+        elif x:
+            yield key + (i,), x
+
+
+def _count_tables(n: int, counts: dict[str, list]) -> dict[str, CountTable]:
+    return {stat: CountTable(stat, n, dict(_nonzero(rows))) for stat, rows in counts.items()}
+
+
+def _gap_classes(m: int) -> dict[bytes, tuple[int, bool, tuple[tuple[int, int], ...]]]:
+    """What putting m + 1 into each gap of a word w of S_m does, keyed by
+    the up-down pattern `bytes(map(lt, w, w[1:]))` of w.
+
+    Each value is (d, w is ballot, ((k, dn), ...)): d counts the descents
+    of w, and each inner gap k, between a = w[k-1] and b = w[k], that gives
+    a ballot word is listed with that word's dn descents.  With h the height
+    after each letter of w (h[0] = 0, +1 per ascent, -1 per descent) and
+    `neg` the first position of negative height (m if none): m + 1 in front
+    gives d + 1 descents and never a ballot word; at the end, d descents and
+    a ballot word iff w is one; in gap k, a -> b becomes a -> m+1 -> b, so
+    dn = d + [a < b], every height from b on moves by -s with s = +1 if
+    a < b else -1, and the word is ballot iff k <= neg and min(h[k:]) >= s.
+    """
+    classes = {}
+    for ups in product((0, 1), repeat=max(m - 1, 0)):
+        h = list(accumulate((2 * up - 1 for up in ups), initial=0))
+        neg = next((k for k, x in enumerate(h) if x < 0), m)
+        d = ups.count(0)
+        gaps = tuple((k, d + ups[k - 1]) for k in range(1, m)
+                     if k <= neg and min(h[k:]) >= 2 * ups[k - 1] - 1)
+        classes[bytes(ups)] = (d, neg == m, gaps)
+    return classes
+
+
 @lru_cache(maxsize=None)
 def _word_tables(n: int) -> dict[str, CountTable]:
     """One walk over S_n, as S_{n-1} with n inserted, filling the A_first, b,
     E and b_factor tables.
 
-    Every word of S_n is a word w of S_{n-1} with n put into one of its n
-    gaps.  One pass over w records its descents d, the height after each
-    letter and `neg`, the first position whose height is negative (len(w)
-    if none); then the gaps are read right to left with `suf`, the minimum
-    height from position k on.  n in front: first letter n, d + 1 descents,
-    never ballot.  n at the end: d descents, ballot iff w is.  n between
-    a = w[k-1] and b = w[k]: the step a -> b becomes a -> n -> b, so the
-    word has d + [a < b] descents, every height from b on moves by -s with
-    s = +1 if a < b else -1, and the word is ballot iff k <= neg and
-    suf >= s.
+    Each w of S_{n-1} is tallied by its pattern (see `_gap_classes`) and
+    first letter, by the neighbours of 1 (n between j and 1 keeps the d
+    descents of w, n between 1 and j adds one), and once per ballot gap by
+    the two letters around it.  Then each pattern is expanded over its gaps:
+    n at the end or in one of the d descent gaps keeps w's first letter and
+    d descents, one of the n - 2 - d ascent gaps gives d + 1, and n in front
+    gives first letter n and d + 1 descents.
     """
     if n < 2:                   # the empty word and the word 1: ballot, no descents
-        tables = {"b": {(0,): 1}} if n == 0 else {
-            "A_first": {(0, 1): 1}, "b": {(0,): 1}, "E": {}, "b_factor": {}}
-        return {stat: CountTable(stat, n, entries) for stat, entries in tables.items()}
+        return _count_tables(n, {"b": [1]} if n == 0 else
+                             {"A_first": [[0, 1]], "b": [1], "E": [], "b_factor": []})
     m = n - 1
-    first = [[0] * (n + 1) for _ in range(n)]   # first[d][j]
-    ballot = [0] * n
-    e, factor = {}, {}
+    e, factor = _zeros(n, n), _zeros(n, n, n)                   # e[d][j], factor[d][i][j]
+    classes = _gap_classes(m)
+    walk = {key: (_zeros(n), e[d], e[d + 1], tuple((k - 1, k, factor[dn]) for k, dn in gaps))
+            for key, (d, _, gaps) in classes.items()}
     for w in permutations(range(1, n)):
-        d = h = 0
-        heights = [0]
-        neg = m
-        prev = w[0]
-        for k in range(1, m):
-            x = w[k]
-            if x < prev:
-                d += 1
-                h -= 1
-                if h < 0 and neg == m:
-                    neg = k
-            else:
-                h += 1
-            heights.append(h)
-            prev = x
-        w0 = w[0]
-        row_d, row_up = first[d], first[d + 1]
-        row_d[w0] += 1                  # n at the end
-        if neg == m:
-            ballot[d] += 1
-        suf = h
-        b = w[m - 1]
-        for k in range(m - 1, 0, -1):   # n between a and b
-            if heights[k] < suf:
-                suf = heights[k]
-            a = w[k - 1]
-            if a < b:
-                row_up[w0] += 1
-                dn = d + 1
-                is_ballot = k <= neg and suf >= 1
-            else:
-                row_d[w0] += 1
-                dn = d
-                is_ballot = k <= neg and suf >= -1
-            if a == 1 or b == 1:        # factor 1nj or jn1: j is the other neighbour
-                key = (dn, a + b - 1)
-                e[key] = e.get(key, 0) + 1
-            if is_ballot:
-                ballot[dn] += 1
-                key = (dn, a, b)
-                factor[key] = factor.get(key, 0) + 1
-            b = a
-        row_up[n] += 1                  # n in front
-    tables = {"A_first": {(d, j): c for d, row in enumerate(first) for j, c in enumerate(row) if c},
-              "b": {(d,): c for d, c in enumerate(ballot) if c}, "E": e, "b_factor": factor}
-    return {stat: CountTable(stat, n, entries) for stat, entries in tables.items()}
+        firsts, before_1, after_1, ballot_gaps = walk[bytes(map(lt, w, w[1:]))]
+        firsts[w[0]] += 1
+        i = w.index(1)
+        if i:                   # factor jn1
+            before_1[w[i - 1]] += 1
+        if i < m - 1:           # factor 1nj
+            after_1[w[i + 1]] += 1
+        for j, k, rows in ballot_gaps:
+            rows[w[j]][w[k]] += 1
+    first, ballot = _zeros(n, n + 1), _zeros(n)                 # first[d][j], ballot[d]
+    for key, (d, is_ballot, gaps) in classes.items():
+        firsts = walk[key][0]
+        count = sum(firsts)
+        if is_ballot:                           # n at the end
+            ballot[d] += count
+        for _, dn in gaps:
+            ballot[dn] += count
+        for j, c in enumerate(firsts):
+            first[d][j] += (d + 1) * c          # n at the end or in a descent
+            first[d + 1][j] += (m - 1 - d) * c  # n in an ascent
+        first[d + 1][n] += count                # n in front
+    return _count_tables(n, {"A_first": first, "b": ballot, "E": e, "b_factor": factor})
 
 
 def _odd_order_cycles(m: int):
@@ -161,42 +174,40 @@ def _odd_cycle_tables(n: int) -> dict[str, CountTable]:
     and b leaves an odd order permutation on [n-1] minus {b} in which
     a -> c, and this is a bijection.  M sums min(D, L - D) over the cycles,
     D a cycle's cyclic descents and L its length.  So the walk takes every
-    odd order permutation s of [n-2] (letters >= b move up by one, which
-    keeps every D and L), every letter a of s with
-    successor c, and every b in 1..n-1.  The cycle of a then has
-    D - [a > c] + 1 + [c < b] cyclic descents and length L + 2, n follows
-    a + [a >= b] and precedes b, and the permutation is a full n-cycle iff s
-    is a full (n-2)-cycle.
+    odd order permutation s of [n-2] and every letter a of s with successor
+    c, tallied by (M(s), D, L, a, c), and expands each class over every b
+    in 1..n-1 (letters >= b move up by one, which keeps every D and L).  The
+    cycle of a then has D - [a > c] + 1 + [c < b] cyclic descents and length
+    L + 2, n follows a + [a >= b] and precedes b, and the permutation is a
+    full n-cycle iff L = n - 2.
     """
     if n == 1:
-        tables = {"M": {(0,): 1}, "p": {}, "l": {(0,): 1}}
-        return {stat: CountTable(stat, n, entries) for stat, entries in tables.items()}
-    m_counts = [0] * n
+        return _count_tables(n, {"M": [1], "p": [], "l": [1]})
+    m_counts = _zeros(n)
     for (d,), count in _odd_cycle_tables(n - 1)["M"].entries.items():   # n fixed
         m_counts[d] += count
-    p_counts = [[[0] * n for _ in range(n)] for _ in range(n)]          # p_counts[d][i][j]
-    l_counts = [0] * n
+    splices = {}            # (M(s), D, L, a, c) -> count
     for cycles in _odd_order_cycles(n - 2):
         total = sum(min(d, len(cycle) - d) for cycle, d in cycles)
-        full = n % 2 and len(cycles) == 1
         for cycle, d in cycles:
             size = len(cycle)
-            rest = total - min(d, size - d)
             for a, c in zip(cycle, cycle[1:] + cycle[:1]):
-                d_new = d - (a > c) + 1             # for b <= c; one more for b > c
-                m_low = rest + min(d_new, size + 2 - d_new)
-                m_high = rest + min(d_new + 1, size + 1 - d_new)
-                for b in range(1, n):
-                    m = m_low if b <= c else m_high
-                    m_counts[m] += 1
-                    p_counts[m][a + (a >= b)][b] += 1
-                    if full:
-                        l_counts[m] += 1
-    tables = {"M": {(d,): c for d, c in enumerate(m_counts) if c},
-              "p": {(d, i, j): c for d, rows in enumerate(p_counts)
-                    for i, row in enumerate(rows) for j, c in enumerate(row) if c},
-              "l": {(d,): c for d, c in enumerate(l_counts) if c}}
-    return {stat: CountTable(stat, n, entries) for stat, entries in tables.items()}
+                key = (total, d, size, a, c)
+                splices[key] = splices.get(key, 0) + 1
+    p_counts, l_counts = _zeros(n, n, n), _zeros(n)                     # p_counts[d][i][j]
+    for (total, d, size, a, c), count in splices.items():
+        rest = total - min(d, size - d)
+        d_new = d - (a > c) + 1                     # for b <= c; one more for b > c
+        m_low = rest + min(d_new, size + 2 - d_new)
+        m_high = rest + min(d_new + 1, size + 1 - d_new)
+        full = n % 2 and size == n - 2
+        for b in range(1, n):
+            m = m_low if b <= c else m_high
+            m_counts[m] += count
+            p_counts[m][a + (a >= b)][b] += count
+            if full:
+                l_counts[m] += count
+    return _count_tables(n, {"M": m_counts, "p": p_counts, "l": l_counts})
 
 
 def oracle_eulerian_first(n: int) -> CountTable:

@@ -1,7 +1,10 @@
+import ast
 import hashlib
 import json
+import sys
 from itertools import permutations
 from math import factorial
+from operator import lt
 from pathlib import Path
 
 import pytest
@@ -253,6 +256,43 @@ def test_walks_match_naive_reference(n):
     for stat, (fn, _) in TABLES.items():
         if _accepted(stat, n):
             assert fn(n).entries == naive[stat], (stat, n)
+
+
+def test_gap_classes_match_inserted_words():
+    # every gap of every word of S_m, against the word with m + 1 put there
+    for m in range(7):
+        classes = oracle._gap_classes(m)
+        assert len(classes) == 2 ** max(m - 1, 0)
+        for w in permutations(range(1, m + 1)):
+            d, end_ballot, gaps = classes[bytes(map(lt, w, w[1:]))]
+            ballot_gaps = dict(gaps)
+            assert d == descents(w)
+            for k in range(m + 1):
+                v = w[:k] + (m + 1,) + w[k:]
+                if k == m:
+                    assert (end_ballot, d) == (is_ballot(v), descents(v)), (w, k)
+                elif k == 0:
+                    assert not is_ballot(v), (w, k)
+                else:
+                    assert (k in ballot_gaps) == is_ballot(v), (w, k)
+                    if k in ballot_gaps:
+                        assert ballot_gaps[k] == descents(v), (w, k)
+
+
+def test_oracle_reads_no_other_route():
+    # brute force stays an independent route: standard library imports only
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"relative import of {node.module}"
+            modules.append(node.module)
+    assert modules
+    for name in modules:
+        top = name.split(".")[0]
+        assert top != "ballotperm" and top in sys.stdlib_module_names, name
 
 
 @pytest.mark.parametrize("n", [8, 9])
