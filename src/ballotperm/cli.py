@@ -22,11 +22,12 @@ from typing import Callable, Iterable, NamedTuple
 
 from . import counts, oracle, series, verify
 
-MAX_ORDER = 14
+MAX_ORDER = 24     # no-force cap of verify and dump --order (verify: 1.1-1.8 s, 29 MB)
+MAX_N = 14         # no-force cap of table --n and of the verify --n b-file depth
 MAX_ORACLE_N = oracle.ENUMERATION_CAP
-# --force lifts MAX_ORDER up to these ceilings, each near 30 s or below on a
-# 2-vCPU Xeon with Python 3.11: verify --order 32 takes 24 s and 68 MB with
-# --n-max-oracle 10, dump --order 38 takes 20 s and 113 MB, and the
+# --force lifts the caps up to these ceilings, each near 30 s or below on a
+# 2-vCPU Xeon with Python 3.11: verify --order 32 takes 6-9 s and 53 MB with
+# --n-max-oracle 10, dump --order 38 takes 3-4 s and 95 MB, and the
 # --oeis-bfile triangle, which grows as n^3, takes 22 s and 120 MB for a b-file
 # that reaches row 600 (only the rows up to the file's largest index are built).
 MAX_FORCED_ORDER = {"verify": 32, "dump": 38}
@@ -112,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="PATH", help="write here instead of stdout")
         if command != "oracle":     # the oracle's ceiling is below every cap
             p.add_argument("--force", action="store_true",
-                           help=f"lift the size cap {MAX_ORDER} up to a fixed ceiling")
+                           help="lift the size cap of --n or --order up to a fixed ceiling")
     sub.choices["oracle"].set_defaults(force=False)
 
     return parser
@@ -145,13 +146,12 @@ def _open(out: str | None):
     return open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
 
 
-def _check_bounds(flag: str, value: int, low: int, ceiling: int, force: bool) -> None:
-    """`flag` takes `low` up to the cap MAX_ORDER, which --force lifts, and
-    never more than `ceiling`."""
+def _check_bounds(flag: str, value: int, low: int, cap: int, ceiling: int, force: bool) -> None:
+    """`flag` takes `low` up to `cap`, which --force lifts, and never more than `ceiling`."""
     if value < low:
         raise ValueError(f"{flag} must be >= {low}, got {value}")
-    if value > MAX_ORDER and ceiling > MAX_ORDER and not force:
-        raise ValueError(f"{flag} {value} exceeds the cap {MAX_ORDER}; "
+    if value > cap and ceiling > cap and not force:
+        raise ValueError(f"{flag} {value} exceeds the cap {cap}; "
                          f"--force lifts it to the ceiling {ceiling}")
     if value > ceiling:
         raise ValueError(f"{flag} runs from {low} to the ceiling {ceiling}, got {value}")
@@ -161,7 +161,7 @@ def _cmd_table(args) -> int:
     """Serve `table` and `oracle`; an error comes before --out is opened."""
     stat = STATS[args.stat]
     ceiling = stat.ceiling if args.command == "table" else MAX_ORACLE_N
-    _check_bounds(f"--n of --stat {args.stat}", args.n, 0, ceiling, args.force)
+    _check_bounds(f"--n of --stat {args.stat}", args.n, 0, MAX_N, ceiling, args.force)
     if args.command == "table":
         entries = _table_entries(args.stat, args.n)
     else:
@@ -172,9 +172,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _check_bounds("--order", args.order, 1, MAX_FORCED_ORDER["verify"], args.force)
-    _check_bounds("--n-max-oracle", args.n_max_oracle, 0, MAX_ORACLE_N, args.force)
-    _check_bounds("--n", args.n, 1, MAX_FORCED_BFILE_N, args.force)
+    _check_bounds("--order", args.order, 1, MAX_ORDER, MAX_FORCED_ORDER["verify"], args.force)
+    _check_bounds("--n-max-oracle", args.n_max_oracle, 0, MAX_N, MAX_ORACLE_N, args.force)
+    _check_bounds("--n", args.n, 1, MAX_N, MAX_FORCED_BFILE_N, args.force)
     reports = verify.run_all(order=args.order, n_max_oracle=args.n_max_oracle,
                              mutation=args.inject_mutation)
     if args.oeis_bfile:
@@ -185,7 +185,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dump(args) -> int:
-    _check_bounds("--order", args.order, 0, MAX_FORCED_ORDER["dump"], args.force)
+    _check_bounds("--order", args.order, 0, MAX_ORDER, MAX_FORCED_ORDER["dump"], args.force)
     cat = counts.build_catalog(args.order)
     with _open(args.out) as fh:
         fh.write(series.dump(getattr(cat, args.series)) + "\n")

@@ -279,7 +279,9 @@ def _build_catalog(order: int) -> SeriesCatalog:
 
     eul_egf = series.geom(series.q_of(x))
     eul = eul_egf - one
-    first = xy * series.exp_tm1(xy) * series.geom(series.q_of(x + xy))
+    e_xy = series.exp_tm1(xy)
+    # geom(q_of(w)) sees w only through its powers, so 1/(1-q(x+xy)) = E(x(1+y))
+    first = xy * e_xy * series.subst_x_times(eul_egf, one_plus_y)
 
     # symmetrized count: t * first realizes the d-1 half, and the coefficient
     # transform t^d -> t^(n-d-1) realizes the (1/t)-reversed half exactly
@@ -288,22 +290,20 @@ def _build_catalog(order: int) -> SeriesCatalog:
     odd_part = (first_sym - series.negate_x(first_sym)) * Fraction(1, 2)
     first_sym_odd = series.project_half(odd_part)
 
-    eul_sub = series.subst_x_times(eul, one_plus_y)
-    factor = (t * x * x * y * (eul_sub + one) * first_sym
-              + t * (one - t) * x * x * y * first)
+    # A(n, n-1-d, j) = A(n, d, n+1-j) (complement w -> n+1-w), so E(x(1+y)) *
+    # first_sym = xy E(x(1+y))^2 (t e^((t-1)xy) + e^((t-1)x)), dense times sparse
+    factor = t * x * x * y * (xy * series.subst_x_times(eul_egf * eul_egf, one_plus_y)
+                              * (t * e_xy + series.exp_tm1(x)) + (one - t) * first)
 
     ballot = ballot_series(order)
     cyclic_factor = t * x * x * y * series.subst_x_times(ballot, one_plus_y) * first_sym_odd
     ballot_factor = 2 * cyclic_factor
 
-    # pair series: (2y / (1 - yz)) * (P(t,x,z) - P(t,xyz,1/y)).  The geometric
-    # factor is the polynomial sum of (yz)^k for k <= order + 1, past the
-    # truncation order, so every surviving spurious term has e_y > order >= e_x
-    # and the support filter removes exactly those.
-    yz_sum = MultiSeries(order, {(0, 0, k, k): Fraction(1) for k in range(order + 2)})
+    # pair series: (2y / (1 - yz)) * (P(t,x,z) - P(t,xyz,1/y)).  The quotient
+    # counts pairs i < j <= n - 1, so it has e_y <= e_x, and the terms of the
+    # geometric sum above that diagonal cancel; geom_yz_lower never forms them
     diff = series.y_to_z(cyclic_factor) - series.mirror_y_with_z(cyclic_factor)
-    pair = 2 * y * yz_sum * diff
-    pair = series.select(pair, lambda m: m[2] <= m[1])
+    pair = series.geom_yz_lower(2 * y * diff)
 
     return SeriesCatalog(
         order=order,

@@ -16,8 +16,9 @@ re-truncates to the smaller order.  Series are immutable by convention: no
 operation mutates its inputs, and series may share slices.  Inversion is
 restricted to the geometric sum 1/(1-g) with g free of x-constant terms
 (then g**k dies at k > order), so divisions in closed forms must first be
-rewritten that way.  Negative exponents are never stored; substitutions like
-t -> 1/t are exponent transforms (`t_reverse`, `mirror_y_with_z`).
+rewritten that way; only `geom_yz_lower` divides by 1 - yz, keeping the
+terms with e_y <= e_x.  Negative exponents are never stored; substitutions
+like t -> 1/t are exponent transforms (`t_reverse`, `mirror_y_with_z`).
 """
 
 from __future__ import annotations
@@ -228,6 +229,19 @@ def subst_x_times(s: MultiSeries, u: MultiSeries) -> MultiSeries:
         slices.append(_add_product({}, u.den ** (s.order - n), sl, power))
         power = _add_product({}, 1, power, u.slices[0])
     return _make(s.order, s.den * u.den ** s.order, slices)
+
+
+def geom_yz_lower(s: MultiSeries) -> MultiSeries:
+    """s / (1 - yz) = sum_k (yz)^k s on the terms with e_y <= e_x: a term
+    (e_t, e_y, e_z) = (a, b, c) of slice n adds to (a, b+k, c+k), k = 0..n-b."""
+    slices = []
+    for n, sl in enumerate(s.slices):
+        acc: Slice = {}
+        for (a, b, c), v in sl.items():
+            for k in range(n - b + 1):
+                acc[(a, b + k, c + k)] = acc.get((a, b + k, c + k), 0) + v
+        slices.append(acc)
+    return _make(s.order, s.den, slices)
 
 
 def map_exponents(s: MultiSeries, fn: Callable[[Monomial], Monomial]) -> MultiSeries:

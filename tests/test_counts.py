@@ -258,12 +258,34 @@ def test_catalog_determinism_and_cache():
     assert build_catalog(4) is build_catalog(4)
 
 
+@pytest.mark.parametrize("order", [6, 10, 15])
+def test_catalog_compositions_match_bivariate_forms(order):
+    # the build composes univariate series with x -> x(1+y) and never forms
+    # the geometric tail in yz; each step equals the bivariate form it replaced
+    one, t, x, y = (series.one(order), series.monomial(order, 1, e_t=1),
+                    series.monomial(order, 1, e_x=1), series.monomial(order, 1, e_y=1))
+    xy = x * y
+    cat = build_catalog(order)
+    eul_egf = series.geom(series.q_of(x))
+    eul_sub = series.subst_x_times(eul_egf, one + y)
+    assert series.geom(series.q_of(x + xy)) == eul_sub
+    sparse = t * series.exp_tm1(xy) + series.exp_tm1(x)
+    dense = series.subst_x_times(eul_egf * eul_egf, one + y)
+    assert eul_sub * cat.first_sym_gf == xy * dense * sparse
+    cyc = cat.cyclic_factor_gf
+    s = 2 * y * (series.y_to_z(cyc) - series.mirror_y_with_z(cyc))
+    yz_sum = series.MultiSeries(order, {(0, 0, k, k): Fraction(1) for k in range(order + 2)})
+    assert series.geom_yz_lower(s) == series.select(s * yz_sum, lambda m: m[2] <= m[1])
+    assert series.geom_yz_lower(s) == cat.pair_factor_gf
+
+
 def test_catalog_dumps_match_golden_hashes():
     # sha256 of series.dump for every catalog series, pinned at orders 6, 10
-    # and 15 from the Fraction-coefficient implementation: the catalog must
-    # stay bit-identical under any change of the series kernels
+    # and 15 from the Fraction-coefficient implementation and at order 25 from
+    # the bivariate-kernel build: the catalog must stay bit-identical under any
+    # change of the series kernels or of the algebra that assembles it
     golden = json.loads(GOLDEN.read_text())
-    assert sorted(golden) == ["10", "15", "6"]
+    assert sorted(golden) == ["10", "15", "25", "6"]
     for order, digests in golden.items():
         cat = build_catalog(int(order), fresh=True)
         assert sorted(digests) == sorted(counts.CATALOG_SERIES)

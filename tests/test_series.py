@@ -9,9 +9,9 @@ from ballotperm import series
 from ballotperm.series import (MultiSeries, d_dx, d_dy, dump, exp_series,
                                exp_tm1, extract_egf, extract_factor,
                                extract_first, extract_quad, first_difference,
-                               geom, map_exponents, mirror_y_with_z, monomial,
-                               n_monomials, negate_x, one, project_half, q_of, select,
-                               subst_x_times, t_reverse, y_to_z, zero)
+                               geom, geom_yz_lower, map_exponents, mirror_y_with_z,
+                               monomial, n_monomials, negate_x, one, project_half, q_of,
+                               select, subst_x_times, t_reverse, y_to_z, zero)
 
 ORDER = 5
 
@@ -197,6 +197,28 @@ def test_map_exponents_and_select():
         map_exponents(s, lambda m: (m[0] - 3, m[1], m[2], m[3]))
 
 
+def yz_sum_then_select(s):
+    """s / (1 - yz) as the polynomial geometric sum up to (yz)^(order+1),
+    then the support filter e_y <= e_x."""
+    yz_sum = MultiSeries(s.order, {(0, 0, k, k): Fraction(1) for k in range(s.order + 2)})
+    return select(s * yz_sum, lambda m: m[2] <= m[1])
+
+
+def test_geom_yz_lower():
+    # den != 1, terms on the diagonal e_y = e_x, one below it, one above it,
+    # and a spread term that cancels a stored one
+    s = MultiSeries(ORDER, {(0, 2, 1, 0): Fraction(1, 3), (1, 3, 3, 1): Fraction(2, 5),
+                            (0, 3, 2, 0): Fraction(-1, 7), (0, 3, 3, 1): Fraction(1, 7),
+                            (2, 2, 3, 0): Fraction(5), (0, 4, 0, 2): Fraction(3, 2)})
+    assert s.den != 1
+    got = geom_yz_lower(s)
+    assert got == yz_sum_then_select(s) and canonical(got)
+    assert got.terms == {
+        (0, 2, 1, 0): Fraction(1, 3), (0, 2, 2, 1): Fraction(1, 3),
+        (1, 3, 3, 1): Fraction(2, 5), (0, 3, 2, 0): Fraction(-1, 7),
+        **{(0, 4, k, 2 + k): Fraction(3, 2) for k in range(5)}}
+
+
 def test_derivatives():
     s = monomial(6, 1, e_x=3) + monomial(6, 2, e_x=1, e_y=2)
     dx = d_dx(s)
@@ -378,6 +400,12 @@ def test_subst_x_times_matches_naive_reference(terms, u_poly):
             want[key] = want.get(key, 0) + v * pv
     got = subst_x_times(MultiSeries(ORDER, terms), MultiSeries(ORDER, u))
     assert got.terms == {m: c for m, c in want.items() if c} and canonical(got)
+
+
+@given(rational_terms())
+def test_geom_yz_lower_matches_truncated_geometric_sum(terms):
+    s = MultiSeries(ORDER, terms)
+    assert geom_yz_lower(s) == yz_sum_then_select(s)
 
 
 @given(rational_terms())
