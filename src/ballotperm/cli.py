@@ -54,7 +54,8 @@ class Stat(NamedTuple):
 # 4300-digit limit for int-to-str.  The other ceilings keep a request near 30 s
 # or below on a 2-vCPU Xeon with Python 3.11: A_first and U hold every triangle
 # row up to n (memory grows as n^3) and take about 13 s and 140 / 170 MB at 400,
-# but 30 s and 320 MB at 500; b_factor is brute force.
+# but 30 s and 320 MB at 500; E at 100 and p at 115, built one d-row per j,
+# take about 7 s and 82 MB and 6 s and 125 MB; b_factor is brute force.
 STATS = {
     "A": Stat(lambda n: (((d,), counts.eulerian(n, d)) for d in range(max(1, n))),
               1500, None),

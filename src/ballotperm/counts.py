@@ -21,7 +21,7 @@ from .series import MultiSeries
 
 
 _FIRST_ROWS: dict[int, list[list[int]]] = {}  # n -> row[d][j - 1] = A(n, d, j)
-_ODD_ROWS: list[list[int]] = []               # m -> row[D] = _odd_cycle_arrangements(m, D)
+_ODD_ROWS: list[tuple[int, ...]] = []         # m -> row[D] = _odd_cycle_arrangements(m, D)
 
 
 def _first_row(n: int) -> list[list[int]]:
@@ -88,21 +88,45 @@ def u_count(n: int, d: int, j: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _piece_weights(n: int, j: int) -> tuple[tuple[int, int, int], ...]:
-    """(l, k, W(l, k)) for the length-l piece next to n on j's side of a
-    factor 1nj or jn1 (of the word for E, of a cycle for p).  The piece holds
-    u letters below j and l-1-u above, arranged as a symmetrized first-letter
-    count:  W(l, k) = sum_u C(j-2, u) C(n-j-1, l-1-u) U(l, k, u+1), free of d."""
+def _piece_weights(n: int, j: int) -> tuple[tuple[int, ...], ...]:
+    """Entry l - 1 is the polynomial W_l[k], k = 0..l, for the length-l piece
+    next to n on j's side of a factor 1nj or jn1 (of the word for E, of a cycle
+    for p), for l = 1..n-2.  The piece holds u letters below j and l-1-u above,
+    arranged as a symmetrized first-letter count:  W_l[k] = sum_u C(j-2, u)
+    C(n-j-1, l-1-u) U(l, k, u+1), free of d.  With V[e] = sum_u C(j-2, u)
+    C(n-j-1, l-1-u) A(l, e, u+1), read off the columns u+1 of the first-letter
+    row l, W_l[k] = V[k-1] + V[l-1-k]."""
     out = []
     for l in range(1, n - 1):
-        splits = [(u + 1, comb(j - 2, u) * comb(n - j - 1, l - 1 - u))
-                  for u in range(max(0, l + j - n), min(j - 1, l))]
-        # k spans 0..l inclusive: the u_count term A(l, k-1, u+1) is live up
-        # to k = l (the j-piece may be strictly decreasing)
-        for k in range(l + 1):
-            if w := sum(c * u_count(l, k, i) for i, c in splits):
-                out.append((l, k, w))
+        lo, hi = max(0, l + j - n), min(j - 1, l)
+        splits = [comb(j - 2, u) * comb(n - j - 1, l - 1 - u) for u in range(lo, hi)]
+        v = [sum([c * a for c, a in zip(splits, r[lo:hi])]) for r in _first_row(l)]
+        # k spans 0..l inclusive: V[k-1] is live up to k = l (the j-piece may
+        # be strictly decreasing)
+        out.append(tuple(a + b for a, b in zip([0] + v, v[::-1] + [0])))
     return tuple(out)
+
+
+def _add_shifted_product(row: list[int], p: tuple[int, ...], q: tuple[int, ...]) -> None:
+    """row[a + b + 1] += p[a] q[b]: the letter n, with its one descent, between
+    the piece next to it, weighted by p, and the rest, counted by q."""
+    for k, w in enumerate(p, 1):
+        if w:
+            row[k:k + len(q)] = [r + w * a for r, a in zip(row[k:k + len(q)], q)]
+
+
+@lru_cache(maxsize=None)
+def _e_row(n: int, j: int) -> tuple[int, ...]:
+    # the rest of the word is a plain descent count; the column j-1 of the
+    # first-letter row n-2 gives the two boundary terms of e_count_rec
+    row = [0] * n
+    for l, weights in enumerate(_piece_weights(n, j), 1):
+        _add_shifted_product(row, weights, _eulerian_row(n - l - 2))
+    col = [r[j - 2] for r in _first_row(n - 2)]
+    for d, a in enumerate(col):
+        row[d + 1] += a
+        row[d + 2] -= a
+    return tuple(row)
 
 
 def e_count_rec(n: int, d: int, j: int) -> int:
@@ -110,12 +134,16 @@ def e_count_rec(n: int, d: int, j: int) -> int:
 
     Splits the word at the factor: the length-l piece containing j, reversed
     and standardized, becomes a symmetrized first-letter count over a chosen
-    letter set, while the other piece is a plain descent count.  The two
-    trailing terms handle the word starting with 1nj and cancel the boundary
-    double count.
+    letter set (the weights W_l of _piece_weights), while the other piece is a
+    plain descent count.  Two boundary terms handle the word starting with 1nj
+    and cancel the double count:  E(n, d, j) = sum W_l[k] A(n-l-2, d-k-1) +
+    A(n-2, d-1, j-1) - A(n-2, d-2, j-1).  The whole d-row of one (n, j) is
+    built at once, as a sum of products of polynomials in d, and cached;
+    indices off the grid 2 <= j <= n-1, 0 <= d <= n-1 count zero.
     """
-    total = sum(w * eulerian(n - l - 2, d - k - 1) for l, k, w in _piece_weights(n, j))
-    return total + eulerian_first(n - 2, d - 1, j - 1) - eulerian_first(n - 2, d - 2, j - 1)
+    if not 2 <= j <= n - 1 or not 0 <= d <= n - 1:
+        return 0
+    return _e_row(n, j)[d]
 
 
 def l_count(n: int, d: int) -> int:
@@ -181,12 +209,9 @@ def ballot_desc_table(max_n: int) -> CountTable:
     return CountTable("b", max_n, entries)
 
 
-def _odd_cycle_arrangements(m: int, total_m: int) -> int:
-    """Ways to arrange a labeled m-set into disjoint odd cycles with M summing
-    to total_m.  The cycle through the smallest letter has odd length nu:
-    a(m, D) = sum C(m-1, nu-1) l(nu, delta) a(m-nu, D-delta)."""
-    if m < 0 or total_m < 0:
-        return 0
+def _odd_row(m: int) -> tuple[int, ...]:
+    """Row m >= 0 of the odd-cycle arrangements: row[D] for 2D <= m, built
+    upward from the last cached row."""
     while len(_ODD_ROWS) <= m:
         k = len(_ODD_ROWS)
         row = [int(k == 0)] + [0] * (k // 2)
@@ -195,8 +220,28 @@ def _odd_cycle_arrangements(m: int, total_m: int) -> int:
                 if lv := comb(k - 1, nu - 1) * l_count(nu, delta):
                     for rest, v in enumerate(_ODD_ROWS[k - nu]):
                         row[delta + rest] += lv * v
-        _ODD_ROWS.append(row)
-    return _ODD_ROWS[m][total_m] if 2 * total_m <= m else 0
+        _ODD_ROWS.append(tuple(row))
+    return _ODD_ROWS[m]
+
+
+def _odd_cycle_arrangements(m: int, total_m: int) -> int:
+    """Ways to arrange a labeled m-set into disjoint odd cycles with M summing
+    to total_m.  The cycle through the smallest letter has odd length nu:
+    a(m, D) = sum C(m-1, nu-1) l(nu, delta) a(m-nu, D-delta)."""
+    if m < 0 or total_m < 0:
+        return 0
+    row = _odd_row(m)
+    return row[total_m] if total_m < len(row) else 0
+
+
+@lru_cache(maxsize=None)
+def _p_row(n: int, j: int) -> tuple[int, ...]:
+    # only odd l and the low half 2k < l count cycle arrangements
+    row = [0] * n
+    for l, weights in enumerate(_piece_weights(n, j), 1):
+        if l % 2:
+            _add_shifted_product(row, weights[:(l + 1) // 2], _odd_row(n - l - 2))
+    return tuple(row)
 
 
 def p_count_partition(n: int, d: int, j: int) -> int:
@@ -208,10 +253,13 @@ def p_count_partition(n: int, d: int, j: int) -> int:
     symmetrized first-letter count, and the remaining letters form odd cycles
     in every way that spends the leftover M.  The rest of that cycle read from
     j is the piece of _piece_weights with l = m1 + m2 + 1, of which only odd l
-    and the low half 2k < l count cycle arrangements.
+    and the low half 2k < l count cycle arrangements:  p(n, d, j) = sum
+    W_l[k] a(n-l-2, d-k-1).  The whole d-row of one (n, j) is built at once
+    and cached; indices off the grid 2 <= j <= n-1, 0 <= d <= n-1 count zero.
     """
-    return sum(w * _odd_cycle_arrangements(n - l - 2, d - k - 1)
-               for l, k, w in _piece_weights(n, j) if l % 2 and 2 * k < l)
+    if not 2 <= j <= n - 1 or not 0 <= d <= n - 1:
+        return 0
+    return _p_row(n, j)[d]
 
 
 @dataclass(frozen=True)
@@ -327,5 +375,7 @@ def clear_caches() -> None:
     _eulerian_row.cache_clear()
     eulerian.cache_clear()
     _piece_weights.cache_clear()
+    _e_row.cache_clear()
+    _p_row.cache_clear()
     _ODD_ROWS.clear()
     _CATALOG_CACHE.clear()

@@ -10,12 +10,14 @@ the series.  A check that compared nothing does not pass.  All comparisons are
 exact equality, never tolerances.  A check that reads series takes the catalog
 it certifies, built one order above its reporting order, and reports at
 cat.order - 1, so that identities involving formal derivatives are exact at the
-reported order.
+reported order.  The grids that hold a series against a recursion or a
+partition sum take no derivative and run to cat.order, so they compare the
+x^(order+1) slice as well; the other series are held there by identities at
+the full catalog order.
 
-Not certified: the x^(order+1) slice of each catalog series, which exists only
-for those d/dx identities; and the coefficients of `pair_factor_gf` with
-x-degree above `n_max_oracle`, which are checked only for their support, since
-enumeration is their only other route.
+Not certified: the coefficients of `pair_factor_gf` with x-degree above
+`n_max_oracle`, its x^(order+1) slice included, which are checked only for
+their support, since enumeration is their only other route.
 """
 
 from __future__ import annotations
@@ -116,15 +118,16 @@ def check_m_equidistribution(n_max: int) -> CheckReport:
 
 def check_first_letter_gf(cat: SeriesCatalog) -> CheckReport:
     """The closed form for the first-letter refinement: extraction equals the
-    second-letter recursion, the defining PDE holds, and the y-linear slice
-    collapses to the plain Eulerian series."""
+    second-letter recursion, the defining PDE holds, the y-linear slice
+    collapses to the plain Eulerian series, and that series equals the
+    Eulerian recursion."""
     order = cat.order - 1
 
     def stages():
         first = cat.first_letter_gf
         yield _first_mismatch(
             ((n, d, j), series.extract_first(first, n, d, j), counts.eulerian_first(n, d, j))
-            for n in range(1, order + 1) for d in range(n) for j in range(1, n + 1))
+            for n in range(1, cat.order + 1) for d in range(n) for j in range(1, n + 1))
 
         # y dA/dy - A = xy dA/dx - y^2 dA/dy + t xy A - xy A, exact one order
         # below the catalog order because d/dx consumes a slice
@@ -139,6 +142,12 @@ def check_first_letter_gf(cat: SeriesCatalog) -> CheckReport:
         lin = series.select(first, lambda m: m[2] == 1)
         lin = series.map_exponents(lin, lambda m: (m[0], m[1], 0, m[3]))
         yield _same(lin, series.monomial(cat.order, 1, e_x=1) * cat.eulerian_egf)
+
+        # the product above drops the top slice of the Eulerian EGF; the
+        # Eulerian recursion reads every slice
+        yield _first_mismatch(
+            ((n, d), series.extract_egf(cat.eulerian_egf, n, d), counts.eulerian(n, d))
+            for n in range(cat.order + 1) for d in range(max(1, n)))
     return _report("first_letter_gf", order, stages())
 
 
@@ -152,7 +161,7 @@ def check_symmetrized_first(cat: SeriesCatalog) -> CheckReport:
         sym, low = cat.first_sym_gf, cat.first_sym_odd_gf
         yield _first_mismatch(
             ((n, d, j), series.extract_first(sym, n, d, j), counts.u_count(n, d, j))
-            for n in range(1, order + 1) for d in range(n + 1) for j in range(1, n + 1))
+            for n in range(1, cat.order + 1) for d in range(n + 1) for j in range(1, n + 1))
         yield _same(low + series.t_reverse(low), (sym - series.negate_x(sym)) * Fraction(1, 2))
         yield _support(low, lambda m: m[1] % 2 == 0 or 2 * m[0] > m[1] - 1)
     return _report("symmetrized_first_letter", order, stages())
@@ -167,7 +176,7 @@ def check_factor_counts(cat: SeriesCatalog, n_max_oracle: int) -> CheckReport:
         factor = cat.factor_gf
         yield _first_mismatch(
             ((n, d, j), series.extract_factor(factor, n, d, j), counts.e_count_rec(n, d, j))
-            for n in range(3, order + 1) for d in range(n) for j in range(2, n))
+            for n in range(3, cat.order + 1) for d in range(n) for j in range(2, n))
         yield _support(factor, lambda m: not 2 <= m[2] <= m[1] - 1)
         yield _first_mismatch(
             ((n, d, j), counts.e_count_rec(n, d, j), table[(d, j)])
@@ -209,7 +218,7 @@ def check_ballot_cyclic_factor(cat: SeriesCatalog, n_max_oracle: int) -> CheckRe
         yield _first_mismatch(
             ((n, d, j), series.extract_factor(cat.cyclic_factor_gf, n, d, j),
              counts.p_count_partition(n, d, j))
-            for n in range(3, order + 1) for d in range(n) for j in range(2, n))
+            for n in range(3, cat.order + 1) for d in range(n) for j in range(2, n))
         one = series.one(cat.order)
         t = series.monomial(cat.order, 1, e_t=1)
         x2y = series.monomial(cat.order, 1, e_x=2, e_y=1)

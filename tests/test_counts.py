@@ -2,7 +2,8 @@ import hashlib
 import io
 import json
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -204,6 +205,40 @@ def test_p_count_partition_vs_oracle():
         for d in range(n):
             for j in range(2, n):
                 assert p_count_partition(n, d, j) == t[(d, 1, j)]
+
+
+@lru_cache(maxsize=None)
+def _piece_weights_by_entry(n, j):
+    # reference for the row route: (l, k, W(l, k)) summed entry by entry,
+    # one symmetrized first-letter count per (l, k, u)
+    out = []
+    for l in range(1, n - 1):
+        splits = [(u + 1, comb(j - 2, u) * comb(n - j - 1, l - 1 - u))
+                  for u in range(max(0, l + j - n), min(j - 1, l))]
+        for k in range(l + 1):
+            if w := sum(c * u_count(l, k, i) for i, c in splits):
+                out.append((l, k, w))
+    return tuple(out)
+
+
+def _e_count_by_entry(n, d, j):
+    total = sum(w * eulerian(n - l - 2, d - k - 1) for l, k, w in _piece_weights_by_entry(n, j))
+    return total + eulerian_first(n - 2, d - 1, j - 1) - eulerian_first(n - 2, d - 2, j - 1)
+
+
+def _p_count_by_entry(n, d, j):
+    return sum(w * counts._odd_cycle_arrangements(n - l - 2, d - k - 1)
+               for l, k, w in _piece_weights_by_entry(n, j) if l % 2 and 2 * k < l)
+
+
+def test_partition_rows_match_the_sums_by_entry():
+    # the rows hold every entry of the per-entry sums, and the indices off
+    # the grid 2 <= j <= n-1, 0 <= d <= n-1 still count zero
+    for n in range(17):
+        for d in range(-1, n + 1):
+            for j in range(n + 2):
+                assert e_count_rec(n, d, j) == _e_count_by_entry(n, d, j), (n, d, j)
+                assert p_count_partition(n, d, j) == _p_count_by_entry(n, d, j), (n, d, j)
 
 
 def test_catalog_extraction_routes():

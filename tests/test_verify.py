@@ -43,6 +43,27 @@ def test_every_mutation_is_caught(name):
     assert all(r.first_discrepancy is not None for r in failed)
 
 
+@pytest.mark.parametrize("order", [5, 6])
+def test_every_top_slice_bump_fails_the_suite(order, monkeypatch):
+    # the catalog is built one order above the reports; every monomial of its
+    # top slice, bumped by 1 one at a time, must fail some check.  The pair
+    # series is left out: above n_max_oracle, its top slice included, it is
+    # checked only for its support, because enumeration is its only other
+    # route; a polynomial route for the ballot side or for p(d, i, j) at every
+    # i would close that
+    cat = counts.build_catalog(order + 1)
+    escaped, bumped = [], set()
+    for name in ("eulerian_egf", "first_letter_gf", "first_sym_gf", "cyclic_factor_gf"):
+        s = getattr(cat, name)
+        for mono in sorted(m for m in s.terms if m[1] == cat.order):
+            bad = replace(cat, **{name: s + series.monomial(s.order, 1, *mono)})
+            monkeypatch.setattr(counts, "build_catalog", lambda *args, bad=bad: bad)
+            if all(r.passed for r in run_all(order=order, n_max_oracle=5)):
+                escaped.append((name, mono))
+            bumped.add(name)
+    assert len(bumped) == 4 and not escaped, escaped
+
+
 def test_reports_match_golden(tmp_path, monkeypatch):
     # `verify` exit codes and reports, without elapsed_ms, recorded before
     # reports carried `compared`; keys are the arguments, b-file paths
