@@ -3,10 +3,11 @@
 The word walk (A_first, b, E, b_factor) visits S_{n-1} once: each word of
 S_n is one of them with n put into one of its n gaps, and what n does in a
 gap depends only on the up-down pattern of the shorter word (Stanley, EC1
-1.6), so the gaps are classified once per pattern.  The odd-cycle walk (M,
-p and, for odd n, l) carries the odd order permutations that fix n over
-from n - 1 and builds every other one from an odd order permutation of
-[n-2], cycle by cycle, with a -> n -> b spliced into a cycle.  Each visited
+1.6), so the gaps are classified once per pattern, and each word's pattern
+is read at its lexicographic rank in one byte table.  The odd-cycle walk
+(M, p and, for odd n, l) carries the odd order permutations that fix n
+over from n - 1 and builds every other one from an odd order permutation
+of [n-2], cycle by cycle, with a -> n -> b spliced into a cycle.  Each visited
 word or odd order permutation is tallied by class, and each class is
 expanded over the gaps or over b: a count is never a formula.
 
@@ -20,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, permutations, product
-from operator import lt
 
 ENUMERATION_CAP = 10
 
@@ -69,9 +69,28 @@ def _count_tables(n: int, counts: dict[str, list]) -> dict[str, CountTable]:
     return {stat: CountTable(stat, n, dict(_nonzero(rows))) for stat, rows in counts.items()}
 
 
-def _gap_classes(m: int) -> dict[bytes, tuple[int, bool, tuple[tuple[int, int], ...]]]:
-    """What putting m + 1 into each gap of a word w of S_m does, keyed by
-    the up-down pattern `bytes(map(lt, w, w[1:]))` of w.
+def _pattern_ids(m: int) -> bytes:
+    """The up-down pattern id of each word w of S_m, in the lexicographic
+    order in which `permutations(range(1, m + 1))` yields the words.
+
+    The id reads [w_1 < w_2], [w_2 < w_3], ... as binary digits, the first
+    comparison highest, so it fits a byte for m <= 9.  The word of rank
+    (f-1)(m-1)! + r(m-2)! + i starts with f, and its tail, standardized, is
+    the word of rank r(m-2)! + i of S_{m-1}, which starts with r + 1; so its
+    id is the tail's, with bit m - 2 set iff r >= f - 1.
+    """
+    ids = b"\0"                     # S_0 and S_1: one word, no comparison
+    for k in range(2, m + 1):
+        high = ids.translate(bytes(x | 1 << (k - 2) for x in range(256)))  # fails past k = 9
+        size = len(ids) // (k - 1)  # (k - 2)!
+        ids = b"".join(ids[:f * size] + high[f * size:] for f in range(k))
+    return ids
+
+
+def _gap_classes(m: int) -> list[tuple[int, bool, tuple[tuple[int, int], ...]]]:
+    """What putting m + 1 into each gap of a word w of S_m does, indexed by
+    the id of w's up-down pattern (see `_pattern_ids`); `product` yields the
+    patterns in ascending id order.
 
     Each value is (d, w is ballot, ((k, dn), ...)): d counts the descents
     of w, and each inner gap k, between a = w[k-1] and b = w[k], that gives
@@ -83,14 +102,14 @@ def _gap_classes(m: int) -> dict[bytes, tuple[int, bool, tuple[tuple[int, int], 
     dn = d + [a < b], every height from b on moves by -s with s = +1 if
     a < b else -1, and the word is ballot iff k <= neg and min(h[k:]) >= s.
     """
-    classes = {}
+    classes = []
     for ups in product((0, 1), repeat=max(m - 1, 0)):
         h = list(accumulate((2 * up - 1 for up in ups), initial=0))
         neg = next((k for k, x in enumerate(h) if x < 0), m)
         d = ups.count(0)
         gaps = tuple((k, d + ups[k - 1]) for k in range(1, m)
                      if k <= neg and min(h[k:]) >= 2 * ups[k - 1] - 1)
-        classes[bytes(ups)] = (d, neg == m, gaps)
+        classes.append((d, neg == m, gaps))
     return classes
 
 
@@ -99,13 +118,14 @@ def _word_tables(n: int) -> dict[str, CountTable]:
     """One walk over S_n, as S_{n-1} with n inserted, filling the A_first, b,
     E and b_factor tables.
 
-    Each w of S_{n-1} is tallied by its pattern (see `_gap_classes`) and
-    first letter, by the neighbours of 1 (n between j and 1 keeps the d
-    descents of w, n between 1 and j adds one), and once per ballot gap by
-    the two letters around it.  Then each pattern is expanded over its gaps:
-    n at the end or in one of the d descent gaps keeps w's first letter and
-    d descents, one of the n - 2 - d ascent gaps gives d + 1, and n in front
-    gives first letter n and d + 1 descents.
+    Each w of S_{n-1} is tallied by its pattern (see `_gap_classes`), read
+    at w's rank in `_pattern_ids`, and first letter, by the neighbours of 1
+    (n between j and 1 keeps the d descents of w, n between 1 and j adds
+    one), and once per ballot gap by the two letters around it.  Then each
+    pattern is expanded over its gaps: n at the end or in one of the d
+    descent gaps keeps w's first letter and d descents, one of the n - 2 - d
+    ascent gaps gives d + 1, and n in front gives first letter n and d + 1
+    descents.
     """
     if n < 2:                   # the empty word and the word 1: ballot, no descents
         return _count_tables(n, {"b": [1]} if n == 0 else
@@ -113,10 +133,10 @@ def _word_tables(n: int) -> dict[str, CountTable]:
     m = n - 1
     e, factor = _zeros(n, n), _zeros(n, n, n)                   # e[d][j], factor[d][i][j]
     classes = _gap_classes(m)
-    walk = {key: (_zeros(n), e[d], e[d + 1], tuple((k - 1, k, factor[dn]) for k, dn in gaps))
-            for key, (d, _, gaps) in classes.items()}
-    for w in permutations(range(1, n)):
-        firsts, before_1, after_1, ballot_gaps = walk[bytes(map(lt, w, w[1:]))]
+    walk = [(_zeros(n), e[d], e[d + 1], tuple((k - 1, k, factor[dn]) for k, dn in gaps))
+            for d, _, gaps in classes]
+    for w, key in zip(permutations(range(1, n)), _pattern_ids(m)):
+        firsts, before_1, after_1, ballot_gaps = walk[key]
         firsts[w[0]] += 1
         i = w.index(1)
         if i:                   # factor jn1
@@ -126,8 +146,7 @@ def _word_tables(n: int) -> dict[str, CountTable]:
         for j, k, rows in ballot_gaps:
             rows[w[j]][w[k]] += 1
     first, ballot = _zeros(n, n + 1), _zeros(n)                 # first[d][j], ballot[d]
-    for key, (d, is_ballot, gaps) in classes.items():
-        firsts = walk[key][0]
+    for (d, is_ballot, gaps), (firsts, *_) in zip(classes, walk):
         count = sum(firsts)
         if is_ballot:                           # n at the end
             ballot[d] += count
@@ -146,21 +165,26 @@ def _odd_order_cycles(m: int):
 
     A cycle opens at the smallest unused letter and closes only at odd
     length; `d` counts its descents so far, and on closing the wrap pair
-    (last, first) is added.  m = 0 yields nothing.
+    (last, first) is added.  Depth first on a stack of (cycle, d, unused
+    letters, closed cycles), closing before growing by each unused letter
+    in increasing order, so the lists come in sorted order.  m = 0 yields
+    nothing.
     """
-    def grow(cycle, d, rest, closed):
-        if len(cycle) % 2:      # close the cycle here, or grow it further below
-            done = closed + [(cycle, d + (cycle[-1] > cycle[0]))]
+    stack = [((1,), 0, tuple(range(2, m + 1)), [])] if m else []
+    while stack:
+        cycle, d, rest, closed = stack.pop()
+        last = cycle[-1]
+        odd = len(cycle) % 2
+        if not odd or len(rest) > 1:    # an odd cycle never grows by the last letter
+            for k in reversed(range(len(rest))):
+                x = rest[k]
+                stack.append((cycle + (x,), d + (last > x), rest[:k] + rest[k + 1:], closed))
+        if odd:                         # close here; popped before the growths above
+            done = closed + [(cycle, d + (last > cycle[0]))]
             if rest:
-                yield from grow(rest[:1], 0, rest[1:], done)
+                stack.append((rest[:1], 0, rest[1:], done))
             else:
                 yield done
-        last = cycle[-1]
-        for k, x in enumerate(rest):
-            yield from grow(cycle + (x,), d + (last > x), rest[:k] + rest[k + 1:], closed)
-
-    if m:
-        yield from grow((1,), 0, tuple(range(2, m + 1)), [])
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,7 @@ import json
 import sys
 from itertools import permutations
 from math import factorial
-from operator import lt
+from operator import gt, lt
 from pathlib import Path
 
 import pytest
@@ -258,13 +258,26 @@ def test_walks_match_naive_reference(n):
             assert fn(n).entries == naive[stat], (stat, n)
 
 
+def _pattern_id(w: tuple[int, ...]) -> int:
+    """The up-down pattern `bytes(map(lt, w, w[1:]))` of w as binary digits,
+    the first comparison highest."""
+    return sum(up << k for k, up in enumerate(reversed(bytes(map(lt, w, w[1:])))))
+
+
+def test_pattern_ids_match_words():
+    for m in range(1, 9):
+        assert oracle._pattern_ids(m) == bytes(map(_pattern_id, permutations(range(1, m + 1)))), m
+    # the largest id of S_{n-1}, n <= ENUMERATION_CAP, must fit a byte
+    assert 2 ** (oracle.ENUMERATION_CAP - 2) - 1 < 256
+
+
 def test_gap_classes_match_inserted_words():
     # every gap of every word of S_m, against the word with m + 1 put there
     for m in range(7):
         classes = oracle._gap_classes(m)
         assert len(classes) == 2 ** max(m - 1, 0)
         for w in permutations(range(1, m + 1)):
-            d, end_ballot, gaps = classes[bytes(map(lt, w, w[1:]))]
+            d, end_ballot, gaps = classes[_pattern_id(w)]
             ballot_gaps = dict(gaps)
             assert d == descents(w)
             for k in range(m + 1):
@@ -327,12 +340,25 @@ def test_odd_cycle_totals(n):
     assert tables["l"].total() == (factorial(n - 1) if n % 2 else 0)
 
 
+@pytest.mark.parametrize("m", range(9))
+def test_odd_order_cycles_in_cycle_list_order(m):
+    perms = list(oracle._odd_order_cycles(m))
+    assert len(perms) == (ODD_ORDER[m] if m else 0)
+    assert perms == sorted(perms) and len(set(map(repr, perms))) == len(perms)
+    for cycles in perms:
+        assert sorted(x for cycle, _ in cycles for x in cycle) == list(range(1, m + 1))
+        for cycle, d in cycles:
+            assert len(cycle) % 2 and cycle[0] == min(cycle), cycles
+            assert d == sum(map(gt, cycle, cycle[1:] + cycle[:1])), cycles
+        assert [cycle[0] for cycle, _ in cycles] == sorted(cycle[0] for cycle, _ in cycles)
+
+
 def test_tables_match_golden_hashes():
     # recorded from the per-table enumerations that the two walks replaced
     golden = json.loads(GOLDEN.read_text())
     assert set(golden) == set(TABLES)
     for stat, (fn, _) in TABLES.items():
-        want_ns = [n for n in range(10) if _accepted(stat, n)]
+        want_ns = [n for n in range(oracle.ENUMERATION_CAP + 1) if _accepted(stat, n)]
         assert sorted(map(int, golden[stat])) == want_ns, stat
         for n in want_ns:
             got = hashlib.sha256(repr(fn(n).sorted_items()).encode()).hexdigest()
