@@ -6,92 +6,12 @@ Three independent computation routes cross-check every counting sequence:
 brute-force enumeration (`oracle`), recursions and partition sums (`counts`),
 and coefficient extraction from closed-form multivariate series built over
 exact rationals (`counts.build_catalog` on top of `series`).  The `verify`
-module certifies the identities tying the routes together.
+module certifies the identities tying the routes together, `permstat` holds
+the statistics of a single word, and `cli` is the command line.
+
+The API is the submodules: import the one you need (`from ballotperm import
+counts`).  This package imports none of them, so a command loads only the
+modules it runs.
 """
 
-from .counts import (
-    SeriesCatalog,
-    ballot_desc_table,
-    ballot_series,
-    ballot_total,
-    build_catalog,
-    double_factorial,
-    e_count_rec,
-    eulerian,
-    eulerian_first,
-    l_count,
-    p_count_partition,
-    u_count,
-)
-from .oracle import (
-    CountTable,
-    oracle_E,
-    oracle_b_factor,
-    oracle_ballot_desc,
-    oracle_eulerian_first,
-    oracle_l,
-    oracle_odd_order_M,
-    oracle_p_cyclic,
-)
-from .permstat import (
-    Perm,
-    StatProfile,
-    as_perm,
-    ascents,
-    cycle_decompose,
-    descents,
-    has_cyclic_factor_inj,
-    has_factor_inj,
-    height,
-    is_ballot,
-    is_odd_order,
-    lowest_points,
-    m_statistic,
-    prefix_heights,
-    profile,
-)
-from .series import MultiSeries
-from .verify import CheckReport, run_all
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CheckReport",
-    "CountTable",
-    "MultiSeries",
-    "Perm",
-    "SeriesCatalog",
-    "StatProfile",
-    "as_perm",
-    "ascents",
-    "ballot_desc_table",
-    "ballot_series",
-    "ballot_total",
-    "build_catalog",
-    "cycle_decompose",
-    "descents",
-    "double_factorial",
-    "e_count_rec",
-    "eulerian",
-    "eulerian_first",
-    "has_cyclic_factor_inj",
-    "has_factor_inj",
-    "height",
-    "is_ballot",
-    "is_odd_order",
-    "l_count",
-    "lowest_points",
-    "m_statistic",
-    "oracle_E",
-    "oracle_b_factor",
-    "oracle_ballot_desc",
-    "oracle_eulerian_first",
-    "oracle_l",
-    "oracle_odd_order_M",
-    "oracle_p_cyclic",
-    "p_count_partition",
-    "prefix_heights",
-    "profile",
-    "run_all",
-    "u_count",
-]

@@ -303,18 +303,14 @@ CATALOG_SERIES = tuple(f.name for f in fields(SeriesCatalog) if f.name != "order
 _CATALOG_CACHE: dict[int, SeriesCatalog] = {}
 
 
-def build_catalog(order: int, fresh: bool = False) -> SeriesCatalog:
+def build_catalog(order: int) -> SeriesCatalog:
     """Build the full closed-form catalog at the given x-truncation order.
 
-    Catalogs are cached per order and must be treated as immutable;
-    fresh=True bypasses the cache (the determinism tests rebuild and compare).
+    Catalogs are cached per order and must be treated as immutable.
     """
-    if not fresh and order in _CATALOG_CACHE:
-        return _CATALOG_CACHE[order]
-    cat = _build_catalog(order)
-    if not fresh:
-        _CATALOG_CACHE[order] = cat
-    return cat
+    if order not in _CATALOG_CACHE:
+        _CATALOG_CACHE[order] = _build_catalog(order)
+    return _CATALOG_CACHE[order]
 
 
 def _build_catalog(order: int) -> SeriesCatalog:

@@ -6,8 +6,6 @@ empty permutation.  Everything here is a pure function of immutable inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 Perm = tuple[int, ...]
 
 
@@ -156,20 +154,3 @@ def has_cyclic_factor_inj(p: Perm, i: int, j: int) -> bool:
             w = c + c[:2]
             return any(w[k] == i and w[k + 1] == n and w[k + 2] == j for k in range(len(c)))
     return False
-
-
-@dataclass(frozen=True)
-class StatProfile:
-    """All statistics of one permutation in one place."""
-
-    des: int
-    asc: int
-    height: int
-    is_ballot: bool
-    m_stat: int
-    is_odd_order: bool
-
-
-def profile(p: Perm) -> StatProfile:
-    return StatProfile(descents(p), ascents(p), height(p), is_ballot(p),
-                       m_statistic(p), is_odd_order(p))

@@ -295,7 +295,7 @@ def check_oeis_eulerian(path, n_max: int = 10) -> CheckReport:
     allowed); every line whose index falls inside the computed triangle must
     match.  Only the rows up to the largest index in the file are computed.  A
     file with no such line compares nothing and does not pass.  Malformed lines
-    raise ValueError.
+    and indices below 1 raise ValueError.
     """
     def stages():
         entries: list[tuple[int, int]] = []
@@ -308,15 +308,18 @@ def check_oeis_eulerian(path, n_max: int = 10) -> CheckReport:
                 if len(parts) != 2:
                     raise ValueError(f"{path}:{lineno}: expected 'index value', got {raw!r}")
                 try:
-                    entries.append((int(parts[0]), int(parts[1])))
+                    k, value = int(parts[0]), int(parts[1])
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
+                if k < 1:
+                    raise ValueError(f"{path}:{lineno}: index must be >= 1")
+                entries.append((k, value))
         # rows 1..n hold the first n(n+1)/2 indices: build only those the file reaches
         top, rows = max((k for k, _ in entries), default=0), 0
         while rows < n_max and rows * (rows + 1) // 2 < top:
             rows += 1
         triangle = [(n, d, counts.eulerian(n, d)) for n in range(1, rows + 1) for d in range(n)]
         yield _first_mismatch(((k, n, d), ours, value)
-                              for k, value in entries if 1 <= k <= len(triangle)
+                              for k, value in entries if k <= len(triangle)
                               for n, d, ours in [triangle[k - 1]])
     return _report("eulerian_oeis", n_max, stages())

@@ -5,7 +5,7 @@ silently empty the traced per-layer split."""
 import importlib.util
 from pathlib import Path
 
-from ballotperm import cli
+from ballotperm import cli, counts
 
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 
@@ -59,3 +59,11 @@ def test_traced_verify_sees_every_check_and_its_oracle_tables(capsys):
         "oracle.p_cyclic"}
     assert {n for name, n in oracle_calls if name == "oracle.ballot_desc"} == {1, 2, 3, 4}
     assert {n for name, n in oracle_calls if name == "oracle.E"} == {3, 4}
+    # the exact counters read the lru_cache statistics of the two Eulerian
+    # routes and the size of every series of the catalog the run built
+    counters = child.counters(tracer)
+    for fn in ("eulerian_first", "eulerian"):
+        for key in ("hits", "misses"):
+            assert isinstance(counters[f"counts.{fn}.{key}"], int)
+    for name in counts.CATALOG_SERIES:
+        assert counters[f"series.terms.{name}"] > 0, name

@@ -292,6 +292,13 @@ def test_verify_oeis_mismatch(tmp_path, capsys):
     code, _, _ = run(capsys, "verify", "--order", "3", "--n-max-oracle", "3",
                      "--oeis-bfile", str(garbled))
     assert code == 2
+    for text in ("0 1\n", "1 1\n-5 3\n"):
+        garbled.write_text(text)
+        code, out, err = run(capsys, "verify", "--order", "3", "--n-max-oracle", "3",
+                             "--oeis-bfile", str(garbled))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.endswith("index must be >= 1\n")
+        assert err.count("\n") == 1
 
 
 def test_dump(capsys):

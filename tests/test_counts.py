@@ -286,8 +286,8 @@ def test_catalog_structure():
 
 
 def test_catalog_determinism_and_cache():
-    a = build_catalog(4, fresh=True)
-    b = build_catalog(4, fresh=True)
+    a = counts._build_catalog(4)
+    b = counts._build_catalog(4)
     for name in counts.CATALOG_SERIES:
         assert getattr(a, name).terms == getattr(b, name).terms
     assert build_catalog(4) is build_catalog(4)
@@ -322,7 +322,7 @@ def test_catalog_dumps_match_golden_hashes():
     golden = json.loads(GOLDEN.read_text())
     assert sorted(golden) == ["10", "15", "25", "6"]
     for order, digests in golden.items():
-        cat = build_catalog(int(order), fresh=True)
+        cat = counts._build_catalog(int(order))
         assert sorted(digests) == sorted(counts.CATALOG_SERIES)
         for name, digest in digests.items():
             text = series.dump(getattr(cat, name))

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import json
+import subprocess
 import sys
 from itertools import permutations
 from math import factorial
@@ -306,6 +307,24 @@ def test_oracle_reads_no_other_route():
     for name in modules:
         top = name.split(".")[0]
         assert top != "ballotperm" and top in sys.stdlib_module_names, name
+
+
+def _ballotperm_modules_after(statement: str) -> set[str]:
+    # a fresh interpreter, so that nothing the test session imported counts
+    src = str(Path(oracle.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); {statement}; "
+            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'ballotperm'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    return set(out.split())
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    # the package imports no submodule: the CLI never loads the per-word
+    # statistics, and the series kernels load nothing else of ballotperm
+    assert "ballotperm.permstat" not in _ballotperm_modules_after("import ballotperm.cli")
+    assert _ballotperm_modules_after("import ballotperm.series") == {
+        "ballotperm", "ballotperm.series"}
 
 
 @pytest.mark.parametrize("n", [8, 9])

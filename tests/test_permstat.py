@@ -9,7 +9,7 @@ from ballotperm.permstat import (as_perm, ascents, cycle_decompose,
                                  cyclic_ascents, cyclic_descents, descents,
                                  has_cyclic_factor_inj, has_factor_inj, height,
                                  is_ballot, is_odd_order, lowest_points,
-                                 m_statistic, prefix_heights, profile, reverse)
+                                 m_statistic, prefix_heights, reverse)
 
 perms_upto = st.integers(1, 7).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))).map(tuple)
@@ -160,22 +160,13 @@ def test_factor_letter_validation():
 def test_descent_ascent_split(p):
     assert descents(p) + ascents(p) == len(p) - 1
     assert height(p) == ascents(p) - descents(p)
+    if is_ballot(p):
+        assert height(p) >= 0
 
 
 @given(perms_upto)
 def test_reversal_duality(p):
     assert descents(reverse(p)) == len(p) - 1 - descents(p)
-
-
-@given(perms_upto)
-def test_profile_consistent(p):
-    prof = profile(p)
-    assert prof.des == descents(p)
-    assert prof.asc == ascents(p)
-    assert prof.height == prof.asc - prof.des
-    assert prof.is_ballot == is_ballot(p)
-    if prof.is_ballot:
-        assert prof.height >= 0
 
 
 def test_ballot_count_matches_double_factorial():

@@ -259,3 +259,8 @@ def test_oeis_parse_failure(tmp_path):
     path.write_text("1 one\n")
     with pytest.raises(ValueError):
         check_oeis_eulerian(path)
+    # an index below 1 names no triangle entry: it is an error, not a skip
+    for text, lineno in (("0 1\n", 1), ("1 1\n-5 3\n", 2)):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f":{lineno}: index must be >= 1"):
+            check_oeis_eulerian(path)
