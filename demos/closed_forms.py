@@ -3,9 +3,10 @@
 
 Every counting sequence in the catalog can be computed three ways: brute
 force over S_n, a recursion or partition sum, and coefficient extraction
-from a truncated multivariate series over exact rationals.  This script
-builds the catalog at a small order and shows the routes agreeing entry by
-entry, then prints a small series in full.
+from a truncated multivariate exponential series whose x^n coefficients,
+times n!, are integers.  This script builds the catalog at a small order
+and shows the routes agreeing entry by entry, then prints a small series in
+full.
 """
 
 from ballotperm import counts, oracle, series
@@ -48,5 +49,6 @@ for d in range(3):
         if a:
             print(f"  ({d}, {j}): {a} / {b} / {c}")
 
-print("\nthe ballot series through x^5 (exponential weights, exact rationals):")
+print("\nthe ballot series through x^5 (exponential weights: n! times each"
+      " x^n coefficient is a count):")
 print(series.dump(cat.ballot_gf.truncate(5)))

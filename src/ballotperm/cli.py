@@ -66,8 +66,7 @@ STATS = {
                          for d in range(n + 1) for j in range(1, n + 1)), 400, None),
     "E": Stat(lambda n: (((d, j), counts.e_count_rec(n, d, j))
                          for d in range(n) for j in range(2, n)), 100, "oracle_E"),
-    "b": Stat(lambda n: (((d,), v) for (m, d), v
-                         in counts.ballot_desc_table(n).sorted_items() if m == n),
+    "b": Stat(lambda n: (((d,), v) for d, v in enumerate(counts.ballot_desc_row(n))),
               250, "oracle_ballot_desc"),
     "l": Stat(lambda n: (((d,), counts.l_count(n, d)) for d in range((n - 1) // 2 + 1)),
               1500, "oracle_l"),

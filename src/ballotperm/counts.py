@@ -16,7 +16,6 @@ from itertools import accumulate
 from math import comb, factorial
 
 from . import series
-from .oracle import CountTable
 from .series import MultiSeries
 
 
@@ -196,17 +195,11 @@ def ballot_series(order: int) -> MultiSeries:
     return series.exp_series(_ballot_log_series(order))
 
 
-def ballot_desc_table(max_n: int) -> CountTable:
-    """(n, d) -> ballot permutations of length n with d descents, n <= max_n,
-    computed through the exponential closed form."""
-    b = ballot_series(max_n)
-    entries: dict[tuple[int, ...], int] = {}
-    for n in range(max_n + 1):
-        for d in range(max(1, (n - 1) // 2 + 1)):
-            v = series.extract_egf(b, n, d)
-            if v:
-                entries[(n, d)] = v
-    return CountTable("b", max_n, entries)
+def ballot_desc_row(n: int) -> tuple[int, ...]:
+    """Entry d < max(n, 1): ballot permutations of length n with d descents,
+    read from the exponential closed form."""
+    b = ballot_series(n)
+    return tuple(series.extract_egf(b, n, d) for d in range(max(n, 1)))
 
 
 def _odd_row(m: int) -> tuple[int, ...]:
@@ -331,8 +324,7 @@ def _build_catalog(order: int) -> SeriesCatalog:
     # transform t^d -> t^(n-d-1) realizes the (1/t)-reversed half exactly
     first_sym = t * first + series.map_exponents(
         first, lambda m: (m[1] - m[0] - 1, m[1], m[2], m[3]))
-    odd_part = (first_sym - series.negate_x(first_sym)) * Fraction(1, 2)
-    first_sym_odd = series.project_half(odd_part)
+    first_sym_odd = series.project_half(series.select(first_sym, lambda m: m[1] % 2))
 
     # A(n, n-1-d, j) = A(n, d, n+1-j) (complement w -> n+1-w), so E(x(1+y)) *
     # first_sym = xy E(x(1+y))^2 (t e^((t-1)xy) + e^((t-1)x)), dense times sparse

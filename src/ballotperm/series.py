@@ -1,15 +1,17 @@
-"""Sparse truncated formal power series in t, x, y, z over exact rationals.
+"""Sparse truncated Hurwitz series in t, x, y, z: exponential generating
+functions whose coefficient at x^n, times n!, is an integer.
 
-A series keeps one positive int `den` and, for each x-degree n up to its
-truncation order, one slice: a dict {(e_t, e_y, e_z): int} holding n! * den
-times the coefficient of t^e_t x^n y^e_y z^e_z.  `den` is canonical (its gcd
-with the stored ints is 1) and zeros are never stored, so equal series have
-equal storage; every catalog series has den == 1.  A product is a binomial
-convolution of slices, H_n = sum_k C(n, k) F_k G_(n-k), and geom,
-exp_series, q_of and exp_tm1 are each one online recurrence (`_recur`).
-Fraction appears only at the boundary: the constructor takes
-{(e_t, e_x, e_y, e_z): Fraction}, `.terms` builds such a dict afresh on each
-access, `coeff` returns a Fraction, and extract_* work in integers.
+A series keeps, for each x-degree n up to its truncation order, one slice: a
+dict {(e_t, e_y, e_z): int} holding n! times the coefficient of
+t^e_t x^n y^e_y z^e_z.  Zeros are never stored, so equal series have equal
+storage.  These series form a ring closed under d/dx and under the geom and
+exp recurrences, so every kernel works on the integer slices as they are: a
+product is a binomial convolution of slices, H_n = sum_k C(n, k) F_k G_(n-k),
+and geom, exp_series, q_of and exp_tm1 are each one online recurrence
+(`_recur`).  Fraction appears only at the boundary: the constructor takes
+{(e_t, e_x, e_y, e_z): Fraction} and refuses a coefficient whose n! multiple
+is not an integer, `.terms` builds such a dict afresh on each access, `coeff`
+returns a Fraction, and extract_* work in integers.
 
 Truncation is by the x-degree alone, and arithmetic on two series
 re-truncates to the smaller order.  Series are immutable by convention: no
@@ -24,7 +26,7 @@ like t -> 1/t are exponent transforms (`t_reverse`, `mirror_y_with_z`).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, prod
 from typing import Callable
 
 Monomial = tuple[int, int, int, int]
@@ -34,29 +36,31 @@ Slice = dict[tuple[int, int, int], int]
 class MultiSeries:
     """A truncated series; build values with zero/one/monomial and arithmetic."""
 
-    __slots__ = ("order", "den", "slices")
+    __slots__ = ("order", "slices")
 
     def __init__(self, order: int, terms: dict[Monomial, Fraction] | None = None):
         if order < 0:
             raise ValueError(f"truncation order must be >= 0, got {order}")
-        scaled = {m: Fraction(c) * factorial(m[1])
-                  for m, c in (terms or {}).items() if m[1] <= order and c}
-        # the lcm of the reduced denominators is already canonical
-        self.order, self.den = order, lcm(*(c.denominator for c in scaled.values()))
+        self.order = order
         self.slices: list[Slice] = [{} for _ in range(order + 1)]
-        for (a, n, b, c), v in scaled.items():
-            self.slices[n][(a, b, c)] = v.numerator * (self.den // v.denominator)
+        for (a, n, b, c), v in (terms or {}).items():
+            if n <= order and v:
+                v = Fraction(v) * factorial(n)
+                if v.denominator != 1:
+                    raise ValueError(f"{n}! times the coefficient of {(a, n, b, c)} "
+                                     f"is not an integer ({v})")
+                self.slices[n][(a, b, c)] = v.numerator
 
     @property
     def terms(self) -> dict[Monomial, Fraction]:
         """{(e_t, e_x, e_y, e_z): Fraction}, built afresh on each access."""
-        return {(a, n, b, c): Fraction(v, factorial(n) * self.den)
+        return {(a, n, b, c): Fraction(v, factorial(n))
                 for n, sl in enumerate(self.slices) for (a, b, c), v in sl.items()}
 
     def coeff(self, e_t: int = 0, e_x: int = 0, e_y: int = 0, e_z: int = 0) -> Fraction:
         if not 0 <= e_x <= self.order:
             return Fraction(0)
-        return Fraction(self.slices[e_x].get((e_t, e_y, e_z), 0), factorial(e_x) * self.den)
+        return Fraction(self.slices[e_x].get((e_t, e_y, e_z), 0), factorial(e_x))
 
     def truncate(self, order: int) -> "MultiSeries":
         return self if order >= self.order else zero(order) + self
@@ -64,33 +68,30 @@ class MultiSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiSeries):
             return NotImplemented
-        return (self.order, self.den, self.slices) == (other.order, other.den, other.slices)
+        return (self.order, self.slices) == (other.order, other.slices)
 
     __hash__ = None  # mutable dicts inside
 
     def __neg__(self) -> "MultiSeries":
-        return _make(self.order, self.den, [_times(sl, -1) for sl in self.slices])
+        return _make(self.order, [_times(sl, -1) for sl in self.slices])
 
     def __add__(self, other) -> "MultiSeries":
         if not isinstance(other, MultiSeries):
             return NotImplemented
-        den = lcm(self.den, other.den)
         slices = []
         for p, q in zip(self.slices, other.slices):
-            acc = _times(p, den // self.den)
-            for k, v in _times(q, den // other.den).items():
+            acc = dict(p)
+            for k, v in q.items():
                 acc[k] = acc.get(k, 0) + v
             slices.append(acc)
-        return _make(len(slices) - 1, den, slices)
+        return _make(len(slices) - 1, slices)
 
     def __sub__(self, other) -> "MultiSeries":
         return self + (-other) if isinstance(other, MultiSeries) else NotImplemented
 
     def __mul__(self, other) -> "MultiSeries":
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            return _make(self.order, self.den * other.denominator,
-                         [_times(sl, other.numerator) for sl in self.slices])
+        if isinstance(other, int):
+            return _make(self.order, [_times(sl, other) for sl in self.slices])
         if not isinstance(other, MultiSeries):
             return NotImplemented
         f, g = self.slices, other.slices
@@ -101,7 +102,7 @@ class MultiSeries:
                 if f[k] and g[n - k]:
                     _add_product(acc, comb(n, k), f[k], g[n - k])
             slices.append(acc)
-        return _make(len(slices) - 1, self.den * other.den, slices)
+        return _make(len(slices) - 1, slices)
 
     __rmul__ = __mul__
 
@@ -112,12 +113,10 @@ class MultiSeries:
         return f"MultiSeries(order={self.order}, {{{head}{more}}})"
 
 
-def _make(order: int, den: int, slices: list[Slice]) -> MultiSeries:
-    """Wrap integer slices as a series: drop zeros, bring den to canonical form."""
-    g = gcd(den, *(v for sl in slices for v in sl.values())) if den != 1 else 1
+def _make(order: int, slices: list[Slice]) -> MultiSeries:
+    """Wrap integer slices as a series, dropping zeros."""
     s = MultiSeries.__new__(MultiSeries)
-    s.order, s.den = order, den // g
-    s.slices = [{k: v // g for k, v in sl.items() if v} for sl in slices]
+    s.order, s.slices = order, [{k: v for k, v in sl.items() if v} for sl in slices]
     return s
 
 
@@ -142,16 +141,9 @@ def _recur(base: MultiSeries, a: MultiSeries, shift: int) -> MultiSeries:
     """The F with F_n = B_n + sum_{k=1..n} C(n-shift, k-shift) A_k F_(n-k).
 
     That is F = base + a*F for shift 0, and F' = base' + a'*F with F(x=0) =
-    base(x=0) for shift 1; a has no x-constant part.  With d = lcm of the dens,
-    H_n = d^(n+1) F_n is integral and obeys the same recurrence with B_n
-    scaled by d^n (d/base.den) and A_k by d^(k-1) (d/a.den)."""
+    base(x=0) for shift 1; a has no x-constant part."""
     order = min(base.order, a.order)
-    d = lcm(base.den, a.den)
     bs, As = base.slices, a.slices
-    if d != 1:
-        bs = [_times(sl, d ** n * (d // base.den)) for n, sl in enumerate(bs)]
-        As = [_times(sl, d ** (k - 1) * (d // a.den)) if k else sl
-              for k, sl in enumerate(As)]
     h: list[Slice] = []
     for n in range(order + 1):
         acc = dict(bs[n])
@@ -159,7 +151,7 @@ def _recur(base: MultiSeries, a: MultiSeries, shift: int) -> MultiSeries:
             if As[k] and h[n - k]:
                 _add_product(acc, comb(n - shift, k - shift), As[k], h[n - k])
         h.append({key: v for key, v in acc.items() if v})
-    return _make(order, d ** (order + 1), [_times(sl, d ** (order - n)) for n, sl in enumerate(h)])
+    return _make(order, h)
 
 
 def zero(order: int) -> MultiSeries:
@@ -222,13 +214,12 @@ def subst_x_times(s: MultiSeries, u: MultiSeries) -> MultiSeries:
     """
     if any(u.slices[1:]) or any(k[0] for k in u.slices[0]):
         raise ValueError("substitution factor must be a polynomial in y and z only")
-    # slice n picks up (u.den * u)^n * u.den^(order - n) over den * u.den^order
     power: Slice = {(0, 0, 0): 1}
     slices = []
-    for n, sl in enumerate(s.slices):
-        slices.append(_add_product({}, u.den ** (s.order - n), sl, power))
+    for sl in s.slices:
+        slices.append(_add_product({}, 1, sl, power))
         power = _add_product({}, 1, power, u.slices[0])
-    return _make(s.order, s.den * u.den ** s.order, slices)
+    return _make(s.order, slices)
 
 
 def geom_yz_lower(s: MultiSeries) -> MultiSeries:
@@ -241,7 +232,7 @@ def geom_yz_lower(s: MultiSeries) -> MultiSeries:
             for k in range(n - b + 1):
                 acc[(a, b + k, c + k)] = acc.get((a, b + k, c + k), 0) + v
         slices.append(acc)
-    return _make(s.order, s.den, slices)
+    return _make(s.order, slices)
 
 
 def map_exponents(s: MultiSeries, fn: Callable[[Monomial], Monomial]) -> MultiSeries:
@@ -258,25 +249,19 @@ def map_exponents(s: MultiSeries, fn: Callable[[Monomial], Monomial]) -> MultiSe
             key = (new[0], new[2], new[3])
             acc[key] = acc.get(key, 0) + v
         slices.append(acc)
-    return _make(s.order, s.den, slices)
+    return _make(s.order, slices)
 
 
 def select(s: MultiSeries, pred: Callable[[Monomial], bool]) -> MultiSeries:
     """Keep only the monomials satisfying pred."""
-    return _make(s.order, s.den, [{k: v for k, v in sl.items() if pred((k[0], n, k[1], k[2]))}
-                                  for n, sl in enumerate(s.slices)])
+    return _make(s.order, [{k: v for k, v in sl.items() if pred((k[0], n, k[1], k[2]))}
+                           for n, sl in enumerate(s.slices)])
 
 
 def t_reverse(s: MultiSeries) -> MultiSeries:
     """Coefficient transform t^d x^n -> t^(n-d) x^n (realizes t -> 1/t, x -> t*x);
     every stored term must have e_t <= e_x."""
     return map_exponents(s, lambda m: (m[1] - m[0], m[1], m[2], m[3]))
-
-
-def negate_x(s: MultiSeries) -> MultiSeries:
-    """Substitute x -> -x: the e_x = n slice is scaled by (-1)^n."""
-    return _make(s.order, s.den, [_times(sl, -1) if n % 2 else sl
-                                  for n, sl in enumerate(s.slices)])
 
 
 def project_half(s: MultiSeries) -> MultiSeries:
@@ -303,13 +288,13 @@ def y_to_z(s: MultiSeries) -> MultiSeries:
 def d_dx(s: MultiSeries) -> MultiSeries:
     """Formal partial derivative in x; the truncation order drops by one.
     x^n/n! differentiates to x^(n-1)/(n-1)!, so the slices shift down."""
-    return _make(max(s.order - 1, 0), s.den, s.slices[1:] or [{}])
+    return _make(max(s.order - 1, 0), s.slices[1:] or [{}])
 
 
 def d_dy(s: MultiSeries) -> MultiSeries:
     """Formal partial derivative in y."""
-    return _make(s.order, s.den, [{(d, b - 1, c): v * b for (d, b, c), v in sl.items() if b}
-                                  for sl in s.slices])
+    return _make(s.order, [{(d, b - 1, c): v * b for (d, b, c), v in sl.items() if b}
+                           for sl in s.slices])
 
 
 def _count(s: MultiSeries, n: int, key: tuple[int, int, int], weight: tuple[int, ...],
@@ -317,7 +302,7 @@ def _count(s: MultiSeries, n: int, key: tuple[int, int, int], weight: tuple[int,
     """The coefficient at x^n and key times the factorials in weight, an integer."""
     if n > s.order:
         raise ValueError(f"n = {n} is beyond the truncation order {s.order}")
-    scale = factorial(n) * s.den
+    scale = factorial(n)
     value = s.slices[n].get(key, 0) * prod(map(factorial, weight))
     if value % scale:
         raise ValueError(f"{what} is not an integer ({Fraction(value, scale)}); "
@@ -356,8 +341,7 @@ def first_difference(a: MultiSeries, b: MultiSeries):
     """Lexicographically smallest monomial where a and b differ, up to the
     common truncation order; None when they agree."""
     diffs = [(k[0], n, k[1], k[2]) for n, (p, q) in enumerate(zip(a.slices, b.slices))
-             if p != q or a.den != b.den for k in p.keys() | q.keys()
-             if p.get(k, 0) * b.den != q.get(k, 0) * a.den]
+             if p != q for k in p.keys() | q.keys() if p.get(k, 0) != q.get(k, 0)]
     m = min(diffs, default=None)
     return None if m is None else (m, a.coeff(*m), b.coeff(*m))
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from . import counts, oracle, series
@@ -162,7 +161,7 @@ def check_symmetrized_first(cat: SeriesCatalog) -> CheckReport:
         yield _first_mismatch(
             ((n, d, j), series.extract_first(sym, n, d, j), counts.u_count(n, d, j))
             for n in range(1, cat.order + 1) for d in range(n + 1) for j in range(1, n + 1))
-        yield _same(low + series.t_reverse(low), (sym - series.negate_x(sym)) * Fraction(1, 2))
+        yield _same(low + series.t_reverse(low), series.select(sym, lambda m: m[1] % 2))
         yield _support(low, lambda m: m[1] % 2 == 0 or 2 * m[0] > m[1] - 1)
     return _report("symmetrized_first_letter", order, stages())
 
@@ -227,7 +226,7 @@ def check_ballot_cyclic_factor(cat: SeriesCatalog, n_max_oracle: int) -> CheckRe
         yield _same((one + t) * cat.factor_gf,
                     t * x2y
                     * (one + (one + t) * series.subst_x_times(cat.eulerian_gf, one_plus_y))
-                    * (sym - series.negate_x(sym)))
+                    * (2 * series.select(sym, lambda m: m[1] % 2)))
     return _report("ballot_cyclic_factor", order, stages())
 
 

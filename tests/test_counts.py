@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from ballotperm import cli, counts, oracle, series
-from ballotperm.counts import (ballot_desc_table, ballot_series, ballot_total,
+from ballotperm.counts import (ballot_desc_row, ballot_series, ballot_total,
                                build_catalog, double_factorial, e_count_rec,
                                eulerian, eulerian_explicit, eulerian_first,
                                l_count, p_count_partition, u_count)
@@ -136,20 +136,21 @@ def test_ballot_exponent_even_eulerian_form():
 
 
 def test_ballot_desc_table():
-    t = ballot_desc_table(8)
-    assert t[(3, 0)] == 1 and t[(3, 1)] == 2
-    for n in range(9):
-        assert sum(v for (m, d), v in t.entries.items() if m == n) == ballot_total(n)
+    rows = [ballot_desc_row(n) for n in range(9)]
+    assert rows[3] == (1, 2, 0)
+    for n, row in enumerate(rows):
+        assert len(row) == max(n, 1) and sum(row) == ballot_total(n)
     for n in range(7):
         ot = oracle.oracle_ballot_desc(n)
         for d in range(n + 1):
-            assert t[(n, d)] == ot[(d,)]
+            assert (rows[n][d] if d < len(rows[n]) else 0) == ot[(d,)]
     # the prefix condition caps the descents at (n-1)/2, and every descent
     # count up to the cap is realized
-    assert all(2 * d <= n - 1 or n == 0 for (n, d) in t.entries)
+    assert all(2 * d <= n - 1 or n == 0 for n, row in enumerate(rows)
+               for d, v in enumerate(row) if v)
     for n in range(1, 9):
         for d in range((n - 1) // 2 + 1):
-            assert t[(n, d)] > 0
+            assert rows[n][d] > 0
 
 
 def _odd_cycle_multisets(m, total_m):
@@ -330,11 +331,12 @@ def test_catalog_dumps_match_golden_hashes():
 
 
 def test_tables_match_golden_hashes():
-    # sha256 of the `table` JSON for A, A_first, U, E, p and l at every n <= 14
-    # and at one larger size each, recorded from the recursive first-letter
-    # route and the Fraction multiset sum: every table must stay byte-identical
+    # sha256 of the `table` JSON for A, A_first, U, E, p, l and b at every
+    # n <= 14 and at one larger size each, recorded from the recursive
+    # first-letter route, the Fraction multiset sum and the whole-triangle
+    # ballot table: every table must stay byte-identical
     golden = json.loads(TABLE_GOLDEN.read_text())
-    assert sorted(golden) == sorted(["A", "A_first", "U", "E", "p", "l"])
+    assert sorted(golden) == sorted(["A", "A_first", "U", "E", "p", "l", "b"])
     for stat, digests in golden.items():
         for n, digest in digests.items():
             buf = io.StringIO()

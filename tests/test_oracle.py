@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ballotperm import oracle
+from ballotperm import counts, oracle
 from ballotperm.counts import ballot_total
 from ballotperm.oracle import (CountTable, oracle_E, oracle_b_factor,
                                oracle_ballot_desc, oracle_eulerian_first,
@@ -293,20 +293,30 @@ def test_gap_classes_match_inserted_words():
                         assert ballot_gaps[k] == descents(v), (w, k)
 
 
-def test_oracle_reads_no_other_route():
-    # brute force stays an independent route: standard library imports only
-    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
-    modules = []
+def _imports(module):
+    """(level, module, imported names) of every import statement in the source."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            modules += [alias.name for alias in node.names]
+            yield from ((0, alias.name, ()) for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            assert node.level == 0, f"relative import of {node.module}"
-            modules.append(node.module)
+            yield node.level, node.module, tuple(alias.name for alias in node.names)
+
+
+def test_oracle_reads_no_other_route():
+    # brute force stays an independent route: standard library imports only
+    modules = []
+    for level, name, _ in _imports(oracle):
+        assert level == 0, f"relative import of {name}"
+        modules.append(name)
     assert modules
     for name in modules:
         top = name.split(".")[0]
         assert top != "ballotperm" and top in sys.stdlib_module_names, name
+    # nor do the recursions read brute force: counts never imports oracle,
+    # whether as `from .oracle import ...` or as `from . import oracle`
+    for _, name, names in _imports(counts):
+        assert "oracle" not in [*(name or "").split("."), *names], (name, names)
 
 
 def _ballotperm_modules_after(statement: str) -> set[str]:

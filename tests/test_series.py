@@ -10,12 +10,13 @@ from ballotperm.series import (MultiSeries, d_dx, d_dy, dump, exp_series,
                                exp_tm1, extract_egf, extract_factor,
                                extract_first, extract_quad, first_difference,
                                geom, geom_yz_lower, map_exponents, mirror_y_with_z,
-                               monomial, n_monomials, negate_x, one, project_half, q_of,
+                               monomial, n_monomials, one, project_half, q_of,
                                select, subst_x_times, t_reverse, y_to_z, zero)
 
 ORDER = 5
 
-coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+# a draw c at x^n is the coefficient c/n!, so n! times it is an integer
+coeffs = st.integers(-3, 3)
 monos = st.tuples(st.integers(0, 2), st.integers(0, ORDER),
                   st.integers(0, 2), st.integers(0, 2))
 
@@ -28,7 +29,7 @@ def small_series(draw, min_x=0):
         m = draw(monos)
         if m[1] < min_x:
             m = (m[0], min_x + m[1], m[2], m[3])
-        terms[m] = draw(coeffs)
+        terms[m] = Fraction(draw(coeffs), factorial(m[1]))
     return MultiSeries(ORDER, terms)
 
 
@@ -46,6 +47,11 @@ def test_constructor_cleans():
     assert s.terms == {(0, 2, 0, 0): Fraction(5)}
     with pytest.raises(ValueError):
         MultiSeries(-1)
+    # 2! * 1/3 is not an integer: the series would not be a Hurwitz series
+    with pytest.raises(ValueError, match="not an integer"):
+        MultiSeries(3, {(0, 2, 0, 0): Fraction(1, 3)})
+    with pytest.raises(ValueError, match="not an integer"):
+        monomial(3, Fraction(1, 3), e_x=1)
 
 
 def test_basic_arithmetic():
@@ -53,7 +59,10 @@ def test_basic_arithmetic():
     assert s == one(ORDER) - monomial(ORDER, 1, e_x=2)
     assert (s * zero(ORDER)).terms == {}
     assert (3 * x_()).coeff(e_x=1) == 3
-    assert (x_() * Fraction(1, 2)).coeff(e_x=1) == Fraction(1, 2)
+    with pytest.raises(TypeError):
+        x_() * Fraction(1, 2)
+    with pytest.raises(TypeError):
+        Fraction(1, 2) * x_()
 
 
 def test_mul_truncates_to_min_order():
@@ -143,13 +152,6 @@ def test_t_reverse():
         t_reverse(monomial(ORDER, 1, e_t=2, e_x=1))
 
 
-def test_negate_x():
-    s = x_() + monomial(ORDER, 1, e_x=2)
-    assert negate_x(s) == -x_() + monomial(ORDER, 1, e_x=2)
-    even = monomial(ORDER, 5, e_x=4, e_y=2)
-    assert negate_x(even) == even
-
-
 def test_project_half():
     assert project_half(monomial(ORDER, 1, e_t=1, e_x=3)).terms  # 2 <= 2 kept
     assert not project_half(monomial(ORDER, 1, e_t=2, e_x=3)).terms
@@ -205,18 +207,17 @@ def yz_sum_then_select(s):
 
 
 def test_geom_yz_lower():
-    # den != 1, terms on the diagonal e_y = e_x, one below it, one above it,
-    # and a spread term that cancels a stored one
-    s = MultiSeries(ORDER, {(0, 2, 1, 0): Fraction(1, 3), (1, 3, 3, 1): Fraction(2, 5),
-                            (0, 3, 2, 0): Fraction(-1, 7), (0, 3, 3, 1): Fraction(1, 7),
-                            (2, 2, 3, 0): Fraction(5), (0, 4, 0, 2): Fraction(3, 2)})
-    assert s.den != 1
+    # terms on the diagonal e_y = e_x, one below it, one above it, and a
+    # spread term that cancels a stored one
+    s = MultiSeries(ORDER, {(0, 2, 1, 0): Fraction(1, 2), (1, 3, 3, 1): Fraction(2, 6),
+                            (0, 3, 2, 0): Fraction(-1, 6), (0, 3, 3, 1): Fraction(1, 6),
+                            (2, 2, 3, 0): Fraction(5, 2), (0, 4, 0, 2): Fraction(3, 24)})
     got = geom_yz_lower(s)
     assert got == yz_sum_then_select(s) and canonical(got)
     assert got.terms == {
-        (0, 2, 1, 0): Fraction(1, 3), (0, 2, 2, 1): Fraction(1, 3),
-        (1, 3, 3, 1): Fraction(2, 5), (0, 3, 2, 0): Fraction(-1, 7),
-        **{(0, 4, k, 2 + k): Fraction(3, 2) for k in range(5)}}
+        (0, 2, 1, 0): Fraction(1, 2), (0, 2, 2, 1): Fraction(1, 2),
+        (1, 3, 3, 1): Fraction(2, 6), (0, 3, 2, 0): Fraction(-1, 6),
+        **{(0, 4, k, 2 + k): Fraction(3, 24) for k in range(5)}}
 
 
 def test_derivatives():
@@ -241,9 +242,9 @@ def test_extract_weights():
 
 
 def test_extract_errors():
-    s = monomial(3, Fraction(1, 3), e_x=1)
-    with pytest.raises(ValueError):
-        extract_egf(s, 1, 0)  # 1/3 * 1! is not a count
+    s = monomial(3, Fraction(1, 6), e_x=3, e_y=1)
+    with pytest.raises(ValueError, match="not an integer"):
+        extract_first(s, 3, 0, 1)  # 1/3! * 0! 2! = 2/6 is not a count
     with pytest.raises(ValueError):
         extract_egf(s, 9, 0)  # beyond truncation
     with pytest.raises(ValueError):
@@ -252,11 +253,11 @@ def test_extract_errors():
         extract_factor(s, 3, 0, 1)
     with pytest.raises(ValueError):
         extract_quad(s, 3, 0, 2, 1)
-    for n in range(1, ORDER + 1):
-        half = monomial(ORDER, Fraction(1, 2 * factorial(n)), e_t=1, e_x=n)
+    for n in range(2, ORDER + 1):
+        first = monomial(ORDER, Fraction(1, factorial(n)), e_t=1, e_x=n, e_y=1)
         with pytest.raises(ValueError, match="not an integer"):
-            extract_egf(half, n, 1)  # 1/(2 n!) * n! = 1/2
-        assert extract_egf(half * 2, n, 1) == 1
+            extract_first(first, n, 1, 1)  # 1/n! * 0! (n-1)! = 1/n
+        assert extract_first(first * n, n, 1, 1) == 1
 
 
 def test_first_difference():
@@ -339,19 +340,20 @@ def tm1_power(k, scale):
     return {j: Fraction(comb(k, j) * (-1) ** (k - j)) * scale for j in range(k + 1)}
 
 
-# every draw carries a coefficient with denominator 7, which no n! with
-# n <= ORDER clears, so the scaled slices are never all integral
-ref_coeffs = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 7))
+# a draw c at x^n is the coefficient c/n!; every draw holds at least one term
+ref_ints = st.integers(-6, 6).filter(bool)
 
 
 @st.composite
-def rational_terms(draw, min_x=0):
+def hurwitz_terms(draw, min_x=0):
     terms = {}
     for _ in range(draw(st.integers(0, 4))):
         m = draw(monos)
-        terms[(m[0], max(m[1], min_x), m[2], m[3])] = draw(ref_coeffs)
+        n = max(m[1], min_x)
+        terms[(m[0], n, m[2], m[3])] = Fraction(draw(ref_ints), factorial(n))
     m = draw(monos)
-    terms[(m[0], max(m[1], min_x), m[2], m[3])] = Fraction(draw(st.sampled_from([-3, 1, 2])), 7)
+    n = max(m[1], min_x)
+    terms[(m[0], n, m[2], m[3])] = Fraction(draw(st.sampled_from([-3, 1, 2])), factorial(n))
     return terms
 
 
@@ -361,19 +363,18 @@ def canonical(s):
     return MultiSeries(s.order, s.terms) == s
 
 
-@given(rational_terms(), rational_terms())
+@given(hurwitz_terms(), hurwitz_terms())
 def test_mul_matches_naive_reference(a, b):
     sa, sb = MultiSeries(ORDER, a), MultiSeries(ORDER, b)
-    assert sa.den % 7 == 0 and sa.terms == a
+    assert sa.terms == a
     prod_ = sa * sb
     assert prod_.terms == ref_mul(a, b) and canonical(prod_)
     assert (sb * sa).terms == ref_mul(a, b)
 
 
-@given(rational_terms(min_x=1))
+@given(hurwitz_terms(min_x=1))
 def test_kernels_match_naive_power_sums(w):
     s = MultiSeries(ORDER, w)
-    assert s.den % 7 == 0
     cases = [
         (geom(s), ref_power_sum(w, lambda k: {0: 1}, ORDER)),
         (exp_series(s), ref_power_sum(w, lambda k: {0: Fraction(1, factorial(k))}, ORDER)),
@@ -385,11 +386,11 @@ def test_kernels_match_naive_power_sums(w):
         assert got.terms == want and canonical(got)
 
 
-@given(rational_terms(), st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
-                                         ref_coeffs, max_size=3))
+@given(hurwitz_terms(), st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                                        ref_ints, max_size=3))
 def test_subst_x_times_matches_naive_reference(terms, u_poly):
-    u = {(0, 0, b, c): v for (b, c), v in u_poly.items()}
-    u[(0, 0, 1, 1)] = Fraction(2, 7)
+    u = {(0, 0, b, c): Fraction(v) for (b, c), v in u_poly.items()}
+    u[(0, 0, 1, 1)] = Fraction(2)
     want = {}
     for (a, n, b, c), v in terms.items():
         power = {(0, 0, 0, 0): Fraction(1)}
@@ -402,16 +403,16 @@ def test_subst_x_times_matches_naive_reference(terms, u_poly):
     assert got.terms == {m: c for m, c in want.items() if c} and canonical(got)
 
 
-@given(rational_terms())
+@given(hurwitz_terms())
 def test_geom_yz_lower_matches_truncated_geometric_sum(terms):
     s = MultiSeries(ORDER, terms)
     assert geom_yz_lower(s) == yz_sum_then_select(s)
 
 
-@given(rational_terms())
+@given(hurwitz_terms())
 def test_kernels_reject_x_constant_part(terms):
     # monos never reach y^3, so this x-constant term cannot cancel
-    s = MultiSeries(ORDER, terms) + monomial(ORDER, Fraction(1, 7), e_y=3)
+    s = MultiSeries(ORDER, terms) + monomial(ORDER, 1, e_y=3)
     for kernel in (geom, exp_series, q_of, exp_tm1):
         with pytest.raises(ValueError):
             kernel(s)
