@@ -4,8 +4,8 @@ first letter.
 
 Three independent computation routes cross-check every counting sequence:
 brute-force enumeration (`oracle`), recursions and partition sums (`counts`),
-and coefficient extraction from closed-form multivariate series built over
-exact rationals (`counts.build_catalog` on top of `series`).  The `verify`
+and coefficient extraction from closed-form multivariate series held as
+exact integers (`counts.build_catalog` on top of `series`).  The `verify`
 module certifies the identities tying the routes together, `permstat` holds
 the statistics of a single word, and `cli` is the command line.
 

@@ -22,15 +22,15 @@ from typing import Callable, Iterable, NamedTuple
 
 from . import counts, oracle, series, verify
 
-MAX_ORDER = 24     # no-force cap of verify and dump --order (verify: 1.1-1.8 s, 29 MB)
+MAX_ORDER = 32     # no-force cap of verify and dump --order (verify: 1.4-1.8 s, 49 MB)
 MAX_N = 14         # no-force cap of table --n and of the verify --n b-file depth
 MAX_ORACLE_N = oracle.ENUMERATION_CAP
 # --force lifts the caps up to these ceilings, each near 30 s or below on a
-# 2-vCPU Xeon with Python 3.11: verify --order 32 takes 6-9 s and 53 MB with
-# --n-max-oracle 10, dump --order 38 takes 3-4 s and 95 MB, and the
+# 2-vCPU Xeon with Python 3.11: verify --order 40 takes 4-5 s and 92 MB with
+# --n-max-oracle 10, dump --order 44 takes about 3 s and 160 MB, and the
 # --oeis-bfile triangle, which grows as n^3, takes 22 s and 120 MB for a b-file
 # that reaches row 600 (only the rows up to the file's largest index are built).
-MAX_FORCED_ORDER = {"verify": 32, "dump": 38}
+MAX_FORCED_ORDER = {"verify": 40, "dump": 44}
 MAX_FORCED_BFILE_N = 600
 
 Entries = list[tuple[tuple[int, ...], int]]

@@ -4,7 +4,7 @@ Every counting sequence here is computable along at least two independent
 routes: the memoized recursions and partition sums in this module, exhaustive
 enumeration (`oracle`), and coefficient extraction from the closed forms
 assembled by `build_catalog`.  The verification suite (`verify`) holds the
-routes against each other with exact rational arithmetic.
+routes against each other with exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -63,19 +63,6 @@ def eulerian(n: int, d: int) -> int:
     if n < 0 or d < 0 or d >= max(n, 1):
         return 0
     return _eulerian_row(n)[d]
-
-
-def eulerian_explicit(n: int, d: int) -> int:
-    """Eulerian number by the classical alternating binomial sum.
-
-    Independent of both the first-letter recursion and brute force; used to
-    cross-check external sequence data.
-    """
-    if n == 0:
-        return 1 if d == 0 else 0
-    if n < 0 or d < 0 or d >= n:
-        return 0
-    return sum((-1) ** k * comb(n + 1, k) * (d + 1 - k) ** n for k in range(d + 1))
 
 
 def u_count(n: int, d: int, j: int) -> int:
@@ -312,13 +299,12 @@ def _build_catalog(order: int) -> SeriesCatalog:
     x = series.monomial(order, 1, e_x=1)
     y = series.monomial(order, 1, e_y=1)
     xy = series.monomial(order, 1, e_x=1, e_y=1)
-    one_plus_y = one + y
 
     eul_egf = series.geom(series.q_of(x))
     eul = eul_egf - one
     e_xy = series.exp_tm1(xy)
     # geom(q_of(w)) sees w only through its powers, so 1/(1-q(x+xy)) = E(x(1+y))
-    first = xy * e_xy * series.subst_x_times(eul_egf, one_plus_y)
+    first = series.subst_x_times(eul_egf, xy * e_xy)
 
     # symmetrized count: t * first realizes the d-1 half, and the coefficient
     # transform t^d -> t^(n-d-1) realizes the (1/t)-reversed half exactly
@@ -328,11 +314,12 @@ def _build_catalog(order: int) -> SeriesCatalog:
 
     # A(n, n-1-d, j) = A(n, d, n+1-j) (complement w -> n+1-w), so E(x(1+y)) *
     # first_sym = xy E(x(1+y))^2 (t e^((t-1)xy) + e^((t-1)x)), dense times sparse
-    factor = t * x * x * y * (xy * series.subst_x_times(eul_egf * eul_egf, one_plus_y)
-                              * (t * e_xy + series.exp_tm1(x)) + (one - t) * first)
+    factor = t * x * x * y * (
+        series.subst_x_times(eul_egf * eul_egf, xy * (t * e_xy + series.exp_tm1(x)))
+        + (one - t) * first)
 
     ballot = ballot_series(order)
-    cyclic_factor = t * x * x * y * series.subst_x_times(ballot, one_plus_y) * first_sym_odd
+    cyclic_factor = series.subst_x_times(ballot, t * x * x * y * first_sym_odd)
     ballot_factor = 2 * cyclic_factor
 
     # pair series: (2y / (1 - yz)) * (P(t,x,z) - P(t,xyz,1/y)).  The quotient

@@ -8,10 +8,12 @@ storage.  These series form a ring closed under d/dx and under the geom and
 exp recurrences, so every kernel works on the integer slices as they are: a
 product is a binomial convolution of slices, H_n = sum_k C(n, k) F_k G_(n-k),
 and geom, exp_series, q_of and exp_tm1 are each one online recurrence
-(`_recur`).  Fraction appears only at the boundary: the constructor takes
-{(e_t, e_x, e_y, e_z): Fraction} and refuses a coefficient whose n! multiple
-is not an integer, `.terms` builds such a dict afresh on each access, `coeff`
-returns a Fraction, and extract_* work in integers.
+(`_recur`).  A product with a composed factor, s * u(x(1+y)) for u free of y
+and z, is one pass by Horner in 1+y (`subst_x_times`).  Fraction appears
+only at the boundary: the constructor takes {(e_t, e_x, e_y, e_z): Fraction}
+and refuses a coefficient whose n! multiple is not an integer, `.terms`
+builds such a dict afresh on each access, `coeff` returns a Fraction, and
+extract_* work in integers.
 
 Truncation is by the x-degree alone, and arithmetic on two series
 re-truncates to the smaller order.  Series are immutable by convention: no
@@ -206,20 +208,29 @@ def exp_series(s: MultiSeries) -> MultiSeries:
     return _recur(one(s.order), s, 1)
 
 
-def subst_x_times(s: MultiSeries, u: MultiSeries) -> MultiSeries:
-    """Substitute x -> x*u for a polynomial u in y and z only.
+def subst_x_times(u: MultiSeries, s: MultiSeries) -> MultiSeries:
+    """The product s * u(x(1+y)) for a series u free of y and z.
 
-    A term c * t^a x^n y^b z^c becomes c * t^a x^n u^n y^b z^c; the x-degree
-    is unchanged, so truncation commutes with the substitution.
+    Slice n is sum_m C(n, m) s_(n-m) u_m (1+y)^m, evaluated by Horner in 1+y
+    for m from n down to 0: each step multiplies the running sum by 1+y, one
+    shifted add, then adds C(n, m) s_(n-m) u_m, where u_m is a polynomial in t.
     """
-    if any(u.slices[1:]) or any(k[0] for k in u.slices[0]):
-        raise ValueError("substitution factor must be a polynomial in y and z only")
-    power: Slice = {(0, 0, 0): 1}
+    if any(b or c for sl in u.slices for _, b, c in sl):
+        raise ValueError("the composed series must be free of y and z")
+    order = min(u.order, s.order)
     slices = []
-    for sl in s.slices:
-        slices.append(_add_product({}, 1, sl, power))
-        power = _add_product({}, 1, power, u.slices[0])
-    return _make(s.order, slices)
+    for n in range(order + 1):
+        acc: Slice = {}
+        for m in range(n, -1, -1):
+            if acc:
+                shifted = dict(acc)
+                for (a, b, c), v in acc.items():
+                    shifted[a, b + 1, c] = shifted.get((a, b + 1, c), 0) + v
+                acc = shifted
+            if s.slices[n - m] and u.slices[m]:
+                _add_product(acc, comb(n, m), s.slices[n - m], u.slices[m])
+        slices.append(acc)
+    return _make(order, slices)
 
 
 def geom_yz_lower(s: MultiSeries) -> MultiSeries:

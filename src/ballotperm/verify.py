@@ -1,5 +1,5 @@
 """The certification suite: every counting identity checked along independent
-routes, coefficient by coefficient, in exact rational arithmetic.
+routes, coefficient by coefficient, in exact integer arithmetic.
 
 A check is a lazy sequence of stages, each comparing two routes: the rows of an
 index grid in lexicographic order, two whole series, or the support of one
@@ -191,11 +191,10 @@ def check_functional_equation(cat: SeriesCatalog) -> CheckReport:
     def stages():
         one = series.one(cat.order)
         t = series.monomial(cat.order, 1, e_t=1)
-        one_plus_y = one + series.monomial(cat.order, 1, e_y=1)
         bf = cat.ballot_factor_gf
         ballot_rev = series.t_reverse(cat.ballot_gf)
-        yield _same(bf * series.subst_x_times(ballot_rev, one_plus_y)
-                    + series.t_reverse(bf) * series.subst_x_times(cat.ballot_gf, one_plus_y),
+        yield _same(series.subst_x_times(ballot_rev, bf)
+                    + series.subst_x_times(cat.ballot_gf, series.t_reverse(bf)),
                     (one + t) * cat.factor_gf)
         yield _same(cat.ballot_gf * ballot_rev, one + (one + t) * cat.eulerian_gf)
     return _report("functional_equation", cat.order - 1, stages())
@@ -220,13 +219,10 @@ def check_ballot_cyclic_factor(cat: SeriesCatalog, n_max_oracle: int) -> CheckRe
             for n in range(3, cat.order + 1) for d in range(n) for j in range(2, n))
         one = series.one(cat.order)
         t = series.monomial(cat.order, 1, e_t=1)
-        x2y = series.monomial(cat.order, 1, e_x=2, e_y=1)
-        one_plus_y = one + series.monomial(cat.order, 1, e_y=1)
-        sym = cat.first_sym_gf
+        tx2y = series.monomial(cat.order, 1, e_t=1, e_x=2, e_y=1)
+        odd = tx2y * (2 * series.select(cat.first_sym_gf, lambda m: m[1] % 2))
         yield _same((one + t) * cat.factor_gf,
-                    t * x2y
-                    * (one + (one + t) * series.subst_x_times(cat.eulerian_gf, one_plus_y))
-                    * (2 * series.select(sym, lambda m: m[1] % 2)))
+                    odd + series.subst_x_times(cat.eulerian_gf, (one + t) * odd))
     return _report("ballot_cyclic_factor", order, stages())
 
 

@@ -5,7 +5,7 @@ silently empty the traced per-layer split."""
 import importlib.util
 from pathlib import Path
 
-from ballotperm import cli, counts
+from ballotperm import cli, counts, series
 
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 
@@ -67,3 +67,11 @@ def test_traced_verify_sees_every_check_and_its_oracle_tables(capsys):
             assert isinstance(counters[f"counts.{fn}.{key}"], int)
     for name in counts.CATALOG_SERIES:
         assert counters[f"series.terms.{name}"] > 0, name
+
+
+def test_traced_series_kernels_exist():
+    # the tracer wraps each kernel by name; a deleted or renamed kernel would
+    # otherwise surface only in a traced benchmark run
+    child = _load_child()
+    for name in child.SERIES_KERNELS:
+        assert callable(getattr(series, name, None)), name

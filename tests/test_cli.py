@@ -204,12 +204,12 @@ def test_verify_oracle_length_zero_compares_nothing(capsys):
 
 
 def test_verify_cap(capsys):
-    code, _, err = run(capsys, "verify", "--order", "25")
-    assert code == 2 and "force" in err and "the cap 24;" in err
-    code, _, err = run(capsys, "dump", "--series", "ballot_gf", "--order", "25")
-    assert code == 2 and "force" in err and "the cap 24;" in err
-    code, out, _ = run(capsys, "dump", "--series", "ballot_gf", "--order", "24")
-    assert code == 0 and "x^24" in out
+    code, _, err = run(capsys, "verify", "--order", "33")
+    assert code == 2 and "force" in err and "the cap 32;" in err
+    code, _, err = run(capsys, "dump", "--series", "ballot_gf", "--order", "33")
+    assert code == 2 and "force" in err and "the cap 32;" in err
+    code, out, _ = run(capsys, "dump", "--series", "ballot_gf", "--order", "32")
+    assert code == 0 and "x^32" in out
     code, _, _ = run(capsys, "verify", "--order", "5", "--n-max-oracle", "12")
     assert code == 2
     # --n-max-oracle is a hard ceiling: --force once let the oracle walk 11! words

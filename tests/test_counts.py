@@ -11,7 +11,7 @@ import pytest
 from ballotperm import cli, counts, oracle, series
 from ballotperm.counts import (ballot_desc_row, ballot_series, ballot_total,
                                build_catalog, double_factorial, e_count_rec,
-                               eulerian, eulerian_explicit, eulerian_first,
+                               eulerian, eulerian_first,
                                l_count, p_count_partition, u_count)
 
 GOLDEN = Path(__file__).parent / "data" / "catalog_dump_sha256.json"
@@ -64,6 +64,16 @@ def test_eulerian():
     assert eulerian(-1, 0) == 0 and eulerian(3, 3) == 0
     for n in range(1, 9):
         assert sum(eulerian(n, d) for d in range(n)) == factorial(n)
+
+
+def eulerian_explicit(n: int, d: int) -> int:
+    """Eulerian number by the classical alternating binomial sum, which shares
+    nothing with the recursion of counts.eulerian."""
+    if n == 0:
+        return 1 if d == 0 else 0
+    if n < 0 or d < 0 or d >= n:
+        return 0
+    return sum((-1) ** k * comb(n + 1, k) * (d + 1 - k) ** n for k in range(d + 1))
 
 
 def test_eulerian_explicit_agrees():
@@ -296,18 +306,24 @@ def test_catalog_determinism_and_cache():
 
 @pytest.mark.parametrize("order", [6, 10, 15])
 def test_catalog_compositions_match_bivariate_forms(order):
-    # the build composes univariate series with x -> x(1+y) and never forms
-    # the geometric tail in yz; each step equals the bivariate form it replaced
+    # the build multiplies by univariate series composed with x -> x(1+y) in
+    # one pass and never forms the geometric tail in yz; each step equals the
+    # bivariate form it replaced, with E(x(1+y)) = subst_x_times(E, 1) expanded
     one, t, x, y = (series.one(order), series.monomial(order, 1, e_t=1),
                     series.monomial(order, 1, e_x=1), series.monomial(order, 1, e_y=1))
     xy = x * y
     cat = build_catalog(order)
     eul_egf = series.geom(series.q_of(x))
-    eul_sub = series.subst_x_times(eul_egf, one + y)
+    eul_sub = series.subst_x_times(eul_egf, one)
     assert series.geom(series.q_of(x + xy)) == eul_sub
-    sparse = t * series.exp_tm1(xy) + series.exp_tm1(x)
-    dense = series.subst_x_times(eul_egf * eul_egf, one + y)
+    e_xy = series.exp_tm1(xy)
+    assert cat.first_letter_gf == xy * e_xy * eul_sub
+    sparse = t * e_xy + series.exp_tm1(x)
+    dense = series.subst_x_times(eul_egf * eul_egf, one)
     assert eul_sub * cat.first_sym_gf == xy * dense * sparse
+    assert series.subst_x_times(eul_egf * eul_egf, xy * sparse) == xy * dense * sparse
+    ballot_sub = series.subst_x_times(cat.ballot_gf, one)
+    assert cat.cyclic_factor_gf == t * x * x * y * ballot_sub * cat.first_sym_odd_gf
     cyc = cat.cyclic_factor_gf
     s = 2 * y * (series.y_to_z(cyc) - series.mirror_y_with_z(cyc))
     yz_sum = series.MultiSeries(order, {(0, 0, k, k): Fraction(1) for k in range(order + 2)})

@@ -134,14 +134,18 @@ def test_exp_series():
 
 
 def test_subst_x_times():
-    y1 = one(ORDER) + monomial(ORDER, 1, e_y=1)
-    assert subst_x_times(x_(), one(ORDER)) == x_()
-    s = subst_x_times(x_(), y1)
-    assert s == x_() + monomial(ORDER, 1, e_x=1, e_y=1)
-    sq = subst_x_times(monomial(ORDER, 1, e_x=2), y1)
+    # s * u(x(1+y)): the x-degree of each term of u is the power of 1+y
+    y = monomial(ORDER, 1, e_y=1)
+    assert subst_x_times(x_(), one(ORDER)) == x_() + x_() * y
+    assert subst_x_times(one(ORDER), x_()) == x_()
+    assert subst_x_times(x_(), t_() * y) == t_() * y * (x_() + x_() * y)
+    sq = subst_x_times(monomial(ORDER, 1, e_x=2), one(ORDER))
     assert sq.coeff(0, 2, 1) == 2  # binomial (1+y)^2
-    with pytest.raises(ValueError):
-        subst_x_times(x_(), x_())
+    assert subst_x_times(x_(3), one(ORDER)) == subst_x_times(x_(), one(3))
+    assert subst_x_times(x_(), one(3)).order == 3
+    for bad in (y, monomial(ORDER, 1, e_x=2, e_z=1)):
+        with pytest.raises(ValueError):
+            subst_x_times(x_() + bad, one(ORDER))
 
 
 def test_t_reverse():
@@ -386,21 +390,22 @@ def test_kernels_match_naive_power_sums(w):
         assert got.terms == want and canonical(got)
 
 
-@given(hurwitz_terms(), st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
-                                        ref_ints, max_size=3))
-def test_subst_x_times_matches_naive_reference(terms, u_poly):
-    u = {(0, 0, b, c): Fraction(v) for (b, c), v in u_poly.items()}
-    u[(0, 0, 1, 1)] = Fraction(2)
-    want = {}
-    for (a, n, b, c), v in terms.items():
+@given(hurwitz_terms(), hurwitz_terms())
+def test_subst_x_times_matches_naive_reference(u_terms, s_terms):
+    # u keeps the t and x exponents of its draw; each of its terms c t^a x^m
+    # is expanded times (1+y)^m, and the expansion is multiplied by s
+    u = {}
+    for (a, m, _, _), v in u_terms.items():
+        u[(a, m, 0, 0)] = u.get((a, m, 0, 0), 0) + v
+    composed = {}
+    for (a, m, _, _), v in u.items():
         power = {(0, 0, 0, 0): Fraction(1)}
-        for _ in range(n):
-            power = ref_mul(power, u)
-        for (_, _, ub, uc), pv in power.items():
-            key = (a, n, b + ub, c + uc)
-            want[key] = want.get(key, 0) + v * pv
-    got = subst_x_times(MultiSeries(ORDER, terms), MultiSeries(ORDER, u))
-    assert got.terms == {m: c for m, c in want.items() if c} and canonical(got)
+        for _ in range(m):
+            power = ref_mul(power, {(0, 0, 0, 0): Fraction(1), (0, 0, 1, 0): Fraction(1)})
+        for key, c in ref_mul({(a, m, 0, 0): v}, power).items():
+            composed[key] = composed.get(key, 0) + c
+    got = subst_x_times(MultiSeries(ORDER, u), MultiSeries(ORDER, s_terms))
+    assert got.terms == ref_mul(composed, s_terms) and canonical(got)
 
 
 @given(hurwitz_terms())
