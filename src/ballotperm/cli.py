@@ -16,17 +16,18 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from typing import Callable, Iterable, NamedTuple
 
 from . import counts, oracle, series, verify
 
-MAX_ORDER = 32     # no-force cap of verify and dump --order (verify: 1.4-1.8 s, 49 MB)
+MAX_ORDER = 32     # no-force cap of verify and dump --order (verify: 1.0-1.4 s, 45 MB)
 MAX_N = 14         # no-force cap of table --n and of the verify --n b-file depth
 MAX_ORACLE_N = oracle.ENUMERATION_CAP
 # --force lifts the caps up to these ceilings, each near 30 s or below on a
-# 2-vCPU Xeon with Python 3.11: verify --order 40 takes 4-5 s and 92 MB with
+# 2-vCPU Xeon with Python 3.11: verify --order 40 takes 2-3 s and 84 MB with
 # --n-max-oracle 10, dump --order 44 takes about 3 s and 160 MB, and the
 # --oeis-bfile triangle, which grows as n^3, takes 22 s and 120 MB for a b-file
 # that reaches row 600 (only the rows up to the file's largest index are built).
@@ -54,8 +55,8 @@ class Stat(NamedTuple):
 # 4300-digit limit for int-to-str.  The other ceilings keep a request near 30 s
 # or below on a 2-vCPU Xeon with Python 3.11: A_first and U hold every triangle
 # row up to n (memory grows as n^3) and take about 13 s and 140 / 170 MB at 400,
-# but 30 s and 320 MB at 500; E at 100 and p at 115, built one d-row per j,
-# take about 7 s and 82 MB and 6 s and 125 MB; b_factor is brute force.
+# but 30 s and 320 MB at 500; E at 100 and p at 115, all d-rows of one n in one
+# pass, take about 5 s and 48 MB and 3 s and 45 MB; b_factor is brute force.
 STATS = {
     "A": Stat(lambda n: (((d,), counts.eulerian(n, d)) for d in range(max(1, n))),
               1500, None),
@@ -78,6 +79,7 @@ STATS = {
 }
 
 
+@functools.cache     # built once per process; main reuses it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ballotperm",

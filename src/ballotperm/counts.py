@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from math import comb, factorial
+from operator import add, mul
 
 from . import series
 from .series import MultiSeries
@@ -73,46 +74,50 @@ def u_count(n: int, d: int, j: int) -> int:
     return eulerian_first(n, n - d - 1, j) + eulerian_first(n, d - 1, j)
 
 
+def _pack(cs, wb: int) -> int:
+    """The polynomial sum_i cs[i] X^i at X = 256^wb, as one int."""
+    return int.from_bytes(b"".join(map(int.to_bytes, cs, repeat(wb), repeat("little"))), "little")
+
+
+def _unpack(packed: int, wb: int, count: int) -> list[int]:
+    b = packed.to_bytes(wb * count, "little")
+    return [int.from_bytes(b[i:i + wb], "little") for i in range(0, len(b), wb)]
+
+
+def _factor_rows(n: int, rest, odd: bool) -> list[list[int]]:
+    """Entry j - 2, j = 2..n-1, is the d-row sum_l W_l[k] rest(n-l-2)[d-k-1]
+    of the factor sums before E's boundary terms, over odd l and 2k < l only
+    if `odd`.  The length-l piece next to n on j's side has u letters below j:
+    W_l[k] = sum_u C(j-2, u) C(n-j-1, l-1-u) U(l, k, u+1), with U(l, k, i) =
+    A(l, k-1, i) + A(l, l-1-k, i).  A polynomial in d is one int of wb-byte
+    fields, wide enough because every field of every intermediate is a count
+    below 2 n!: rest(m)[0] = 1 puts each W_l[k] below a field of the final
+    row, which is at most E + A(n-2) < 2 n!."""
+    wb = (2 * factorial(n)).bit_length() // 8 + 1     # at least one spare bit
+    acc = [0] * (n - 2)
+    for l in range(1, n - 1, 1 + odd):
+        a, zero = _first_row(l), [0] * l
+        sym = [map(add, lo, hi) for lo, hi in zip([zero] + a, a[::-1] + [zero])]
+        # column u of sym, k = 0..l, is field u of its column-major packing
+        cols = _unpack(_pack(chain.from_iterable(zip(*sym)), wb), wb * (l + 1), l)
+        q = _pack((0,) + rest(n - l - 2), wb)     # n and its descent shift by one
+        mask = (1 << 8 * wb * ((l + 1) // 2 if odd else l + 1)) - 1
+        for j in range(2, n):
+            lo, hi = max(0, l + j - n), min(j - 1, l)
+            splits = [comb(j - 2, u) * comb(n - j - 1, l - 1 - u) for u in range(lo, hi)]
+            acc[j - 2] += (sum(map(mul, splits, cols[lo:hi])) & mask) * q
+    return [_unpack(x, wb, n) for x in acc]
+
+
 @lru_cache(maxsize=None)
-def _piece_weights(n: int, j: int) -> tuple[tuple[int, ...], ...]:
-    """Entry l - 1 is the polynomial W_l[k], k = 0..l, for the length-l piece
-    next to n on j's side of a factor 1nj or jn1 (of the word for E, of a cycle
-    for p), for l = 1..n-2.  The piece holds u letters below j and l-1-u above,
-    arranged as a symmetrized first-letter count:  W_l[k] = sum_u C(j-2, u)
-    C(n-j-1, l-1-u) U(l, k, u+1), free of d.  With V[e] = sum_u C(j-2, u)
-    C(n-j-1, l-1-u) A(l, e, u+1), read off the columns u+1 of the first-letter
-    row l, W_l[k] = V[k-1] + V[l-1-k]."""
-    out = []
-    for l in range(1, n - 1):
-        lo, hi = max(0, l + j - n), min(j - 1, l)
-        splits = [comb(j - 2, u) * comb(n - j - 1, l - 1 - u) for u in range(lo, hi)]
-        v = [sum([c * a for c, a in zip(splits, r[lo:hi])]) for r in _first_row(l)]
-        # k spans 0..l inclusive: V[k-1] is live up to k = l (the j-piece may
-        # be strictly decreasing)
-        out.append(tuple(a + b for a, b in zip([0] + v, v[::-1] + [0])))
-    return tuple(out)
-
-
-def _add_shifted_product(row: list[int], p: tuple[int, ...], q: tuple[int, ...]) -> None:
-    """row[a + b + 1] += p[a] q[b]: the letter n, with its one descent, between
-    the piece next to it, weighted by p, and the rest, counted by q."""
-    for k, w in enumerate(p, 1):
-        if w:
-            row[k:k + len(q)] = [r + w * a for r, a in zip(row[k:k + len(q)], q)]
-
-
-@lru_cache(maxsize=None)
-def _e_row(n: int, j: int) -> tuple[int, ...]:
-    # the rest of the word is a plain descent count; the column j-1 of the
-    # first-letter row n-2 gives the two boundary terms of e_count_rec
-    row = [0] * n
-    for l, weights in enumerate(_piece_weights(n, j), 1):
-        _add_shifted_product(row, weights, _eulerian_row(n - l - 2))
-    col = [r[j - 2] for r in _first_row(n - 2)]
-    for d, a in enumerate(col):
-        row[d + 1] += a
-        row[d + 2] -= a
-    return tuple(row)
+def _e_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    # the boundary terms of e_count_rec, from column j-1 of first-letter row n-2
+    rows = _factor_rows(n, _eulerian_row, False)
+    for d, r in enumerate(_first_row(n - 2)):
+        for row, a in zip(rows, r):
+            row[d + 1] += a
+            row[d + 2] -= a
+    return tuple(map(tuple, rows))
 
 
 def e_count_rec(n: int, d: int, j: int) -> int:
@@ -120,16 +125,15 @@ def e_count_rec(n: int, d: int, j: int) -> int:
 
     Splits the word at the factor: the length-l piece containing j, reversed
     and standardized, becomes a symmetrized first-letter count over a chosen
-    letter set (the weights W_l of _piece_weights), while the other piece is a
+    letter set (the weights W_l of _factor_rows), while the other piece is a
     plain descent count.  Two boundary terms handle the word starting with 1nj
     and cancel the double count:  E(n, d, j) = sum W_l[k] A(n-l-2, d-k-1) +
-    A(n-2, d-1, j-1) - A(n-2, d-2, j-1).  The whole d-row of one (n, j) is
-    built at once, as a sum of products of polynomials in d, and cached;
-    indices off the grid 2 <= j <= n-1, 0 <= d <= n-1 count zero.
+    A(n-2, d-1, j-1) - A(n-2, d-2, j-1).  All d-rows of one n are built at once
+    and cached; indices off the grid 2 <= j <= n-1, 0 <= d <= n-1 count zero.
     """
     if not 2 <= j <= n - 1 or not 0 <= d <= n - 1:
         return 0
-    return _e_row(n, j)[d]
+    return _e_rows(n)[j - 2][d]
 
 
 def l_count(n: int, d: int) -> int:
@@ -215,13 +219,8 @@ def _odd_cycle_arrangements(m: int, total_m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _p_row(n: int, j: int) -> tuple[int, ...]:
-    # only odd l and the low half 2k < l count cycle arrangements
-    row = [0] * n
-    for l, weights in enumerate(_piece_weights(n, j), 1):
-        if l % 2:
-            _add_shifted_product(row, weights[:(l + 1) // 2], _odd_row(n - l - 2))
-    return tuple(row)
+def _p_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, _factor_rows(n, _odd_row, True)))
 
 
 def p_count_partition(n: int, d: int, j: int) -> int:
@@ -232,14 +231,14 @@ def p_count_partition(n: int, d: int, j: int) -> int:
     of its other letters lie below j and m2 above; its arrangements are a
     symmetrized first-letter count, and the remaining letters form odd cycles
     in every way that spends the leftover M.  The rest of that cycle read from
-    j is the piece of _piece_weights with l = m1 + m2 + 1, of which only odd l
+    j is the piece of _factor_rows with l = m1 + m2 + 1, of which only odd l
     and the low half 2k < l count cycle arrangements:  p(n, d, j) = sum
-    W_l[k] a(n-l-2, d-k-1).  The whole d-row of one (n, j) is built at once
-    and cached; indices off the grid 2 <= j <= n-1, 0 <= d <= n-1 count zero.
+    W_l[k] a(n-l-2, d-k-1).  All d-rows of one n are built at once and
+    cached; indices off the grid 2 <= j <= n-1, 0 <= d <= n-1 count zero.
     """
     if not 2 <= j <= n - 1 or not 0 <= d <= n - 1:
         return 0
-    return _p_row(n, j)[d]
+    return _p_rows(n)[j - 2][d]
 
 
 @dataclass(frozen=True)
@@ -349,8 +348,7 @@ def clear_caches() -> None:
     eulerian_first.cache_clear()
     _eulerian_row.cache_clear()
     eulerian.cache_clear()
-    _piece_weights.cache_clear()
-    _e_row.cache_clear()
-    _p_row.cache_clear()
+    _e_rows.cache_clear()
+    _p_rows.cache_clear()
     _ODD_ROWS.clear()
     _CATALOG_CACHE.clear()

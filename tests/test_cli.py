@@ -3,13 +3,15 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from math import factorial
 from pathlib import Path
 
-from ballotperm.cli import MAX_FORCED_BFILE_N, MAX_FORCED_ORDER, STATS, main
+from ballotperm.cli import (MAX_FORCED_BFILE_N, MAX_FORCED_ORDER, STATS, build_parser,
+                            main)
 
 FIXTURE = Path(__file__).parent / "data" / "b008292.txt"
 RENDER_GOLDEN = Path(__file__).parent / "data" / "render_sha256.json"
@@ -147,6 +149,25 @@ def test_table_streams_in_bounded_memory(tmp_path):
     code, peak_kib = map(int, proc.stdout.split())
     assert code == 0 and json.loads(out.read_text())["n"] == 200
     assert peak_kib / 1024 < 60
+
+
+def test_factor_table_holds_no_weight_tables(tmp_path):
+    # the p rows of one n are built in one pass over the piece lengths, with
+    # one length's packed columns alive at a time: this run peaks near 24 MB,
+    # and at 45 MB when a weight table per (n, j) was cached.  The child reads
+    # its own peak, as in test_table_streams_in_bounded_memory.
+    out = tmp_path / "p.json"
+    script = ("from ballotperm.cli import main\n"
+              f"code = main(['table', '--stat', 'p', '--n', '80', '--force',"
+              f" '--out', {str(out)!r}])\n"
+              "with open('/proc/self/status') as fh:\n"
+              "    peak = next(line.split()[1] for line in fh if line.startswith('VmHWM:'))\n"
+              "print(code, peak)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 0 and json.loads(out.read_text())["n"] == 80
+    assert peak_kib / 1024 < 35
 
 
 def test_oracle_command(capsys):
@@ -321,3 +342,35 @@ def test_out_flag_writes_file(tmp_path, capsys):
 def test_missing_subcommand_is_usage_error(capsys):
     assert run(capsys, )[0] == 2
     assert run(capsys, "--help")[0] == 0
+
+
+def test_repeated_main_calls_match_first_calls(capsys):
+    # one process serves several requests with one parser and warm caches;
+    # each output, a usage error's included, equals that of the same request
+    # made first in a new process, apart from the verify timings
+    requests = [["table", "--stat", "E", "--n", "9"],
+                ["oracle", "--stat", "p", "--n", "7"],
+                ["table", "--stat", "nope", "--n", "3"],
+                ["verify", "--order", "6", "--n-max-oracle", "5"],
+                ["verify", "--order", "9", "--n-max-oracle", "6"]]
+    script = ("import contextlib, io, json, sys\n"
+              "from ballotperm.cli import main\n"
+              "out, err = io.StringIO(), io.StringIO()\n"
+              "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+              "    code = main(json.loads(sys.argv[1]))\n"
+              "print(json.dumps([code, out.getvalue(), err.getvalue()]))\n")
+
+    def timeless(code, out, err):
+        return code, re.sub(r'"elapsed_ms": [0-9.]+', "", out), err
+
+    firsts = []
+    for argv in requests:
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)))
+        firsts.append(timeless(*json.loads(proc.stdout)))
+    assert [code for code, _, _ in firsts] == [0, 0, 2, 0, 0]
+    assert build_parser() is build_parser()
+    for _ in range(2):
+        for argv, first in zip(requests, firsts):
+            assert timeless(*run(capsys, *argv)) == first, argv

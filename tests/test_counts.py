@@ -252,6 +252,56 @@ def test_partition_rows_match_the_sums_by_entry():
                 assert p_count_partition(n, d, j) == _p_count_by_entry(n, d, j), (n, d, j)
 
 
+def _piece_weights(n, j):
+    # reference for counts._factor_rows, one list of ints per polynomial in d:
+    # entry l - 1 is W_l[k], k = 0..l, with W_l[k] = V[k-1] + V[l-1-k] and
+    # V[e] = sum_u C(j-2, u) C(n-j-1, l-1-u) A(l, e, u+1)
+    out = []
+    for l in range(1, n - 1):
+        lo, hi = max(0, l + j - n), min(j - 1, l)
+        splits = [comb(j - 2, u) * comb(n - j - 1, l - 1 - u) for u in range(lo, hi)]
+        v = [sum(c * eulerian_first(l, e, u + 1) for c, u in zip(splits, range(lo, hi)))
+             for e in range(l)]
+        out.append([a + b for a, b in zip([0] + v, v[::-1] + [0])])
+    return out
+
+
+def _add_shifted_product(row, p, q):
+    # row[a + b + 1] += p[a] q[b]
+    for a, w in enumerate(p):
+        for b, c in enumerate(q):
+            row[a + b + 1] += w * c
+
+
+def _factor_rows_by_lists(n, j):
+    # the E and p rows of one (n, j) before E's boundary terms, and the weights
+    e_row, p_row = [0] * n, [0] * n
+    weights = _piece_weights(n, j)
+    for l, w in enumerate(weights, 1):
+        _add_shifted_product(e_row, w, counts._eulerian_row(n - l - 2))
+        if l % 2:
+            _add_shifted_product(p_row, w[:(l + 1) // 2], counts._odd_row(n - l - 2))
+    return e_row, p_row, weights
+
+
+def test_packed_rows_match_the_list_route():
+    # every E and p row for n <= 36 equals the sums of products of lists of
+    # ints, and every weight and pre-boundary coefficient lies below 2 n!,
+    # the bound that sets the packing width of counts._factor_rows
+    for n in range(3, 37):
+        bound = 2 * factorial(n)
+        for j in range(2, n):
+            e_row, p_row, weights = _factor_rows_by_lists(n, j)
+            assert all(0 <= c < bound for w in weights for c in w), (n, j)
+            assert all(0 <= c < bound for c in e_row + p_row), (n, j)
+            for d in range(n - 2):
+                a = eulerian_first(n - 2, d, j - 1)
+                e_row[d + 1] += a
+                e_row[d + 2] -= a
+            assert counts._e_rows(n)[j - 2] == tuple(e_row), (n, j)
+            assert counts._p_rows(n)[j - 2] == tuple(p_row), (n, j)
+
+
 def test_catalog_extraction_routes():
     cat = build_catalog(6)
     for n in range(1, 7):
