@@ -53,10 +53,11 @@ class Stat(NamedTuple):
 
 # A and l stop short of n = 1558, where the counts pass Python's default
 # 4300-digit limit for int-to-str.  The other ceilings keep a request near 30 s
-# or below on a 2-vCPU Xeon with Python 3.11: A_first and U hold every triangle
-# row up to n (memory grows as n^3) and take about 13 s and 140 / 170 MB at 400,
-# but 30 s and 320 MB at 500; E at 100 and p at 115, all d-rows of one n in one
-# pass, take about 5 s and 48 MB and 3 s and 45 MB; b_factor is brute force.
+# or below on a 2-vCPU Xeon with Python 3.11: A_first and U hold triangle row n
+# and the eulerian_first cache of its entries, and take about 13 s and
+# 140 / 170 MB at 400, but 30 s and 320 MB at 500; E at 100 and p at 115, all
+# d-rows of one n in one pass, take about 5 s and 48 MB and 3 s and 45 MB;
+# b_factor is brute force.
 STATS = {
     "A": Stat(lambda n: (((d,), counts.eulerian(n, d)) for d in range(max(1, n))),
               1500, None),

@@ -9,19 +9,21 @@ routes against each other with exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from math import comb, factorial
 from operator import add, mul
+from typing import NamedTuple
 
 from . import series
 from .series import MultiSeries
 
 
-_FIRST_ROWS: dict[int, list[list[int]]] = {}  # n -> row[d][j - 1] = A(n, d, j)
-_ODD_ROWS: list[tuple[int, ...]] = []         # m -> row[D] = _odd_cycle_arrangements(m, D)
+# n -> row[d][j - 1] = A(n, d, j).  Kept by hand, not as a cache chained row
+# to row, which would hold every row below n: only the requested rows are
+# kept, each built up from the nearest cached row below it.
+_FIRST_ROWS: dict[int, list[list[int]]] = {}
 
 
 def _first_row(n: int) -> list[list[int]]:
@@ -193,29 +195,19 @@ def ballot_desc_row(n: int) -> tuple[int, ...]:
     return tuple(series.extract_egf(b, n, d) for d in range(max(n, 1)))
 
 
+@lru_cache(maxsize=None)
 def _odd_row(m: int) -> tuple[int, ...]:
-    """Row m >= 0 of the odd-cycle arrangements: row[D] for 2D <= m, built
-    upward from the last cached row."""
-    while len(_ODD_ROWS) <= m:
-        k = len(_ODD_ROWS)
-        row = [int(k == 0)] + [0] * (k // 2)
-        for nu in range(1, k + 1, 2):
-            for delta in range((nu - 1) // 2 + 1):
-                if lv := comb(k - 1, nu - 1) * l_count(nu, delta):
-                    for rest, v in enumerate(_ODD_ROWS[k - nu]):
-                        row[delta + rest] += lv * v
-        _ODD_ROWS.append(tuple(row))
-    return _ODD_ROWS[m]
-
-
-def _odd_cycle_arrangements(m: int, total_m: int) -> int:
-    """Ways to arrange a labeled m-set into disjoint odd cycles with M summing
-    to total_m.  The cycle through the smallest letter has odd length nu:
+    """Row m >= 0 of the odd-cycle arrangements: entry D, 2D <= m, counts the
+    ways to arrange a labeled m-set into disjoint odd cycles with M summing
+    to D.  The cycle through the smallest letter has odd length nu:
     a(m, D) = sum C(m-1, nu-1) l(nu, delta) a(m-nu, D-delta)."""
-    if m < 0 or total_m < 0:
-        return 0
-    row = _odd_row(m)
-    return row[total_m] if total_m < len(row) else 0
+    row = [int(m == 0)] + [0] * (m // 2)
+    for nu in range(1, m + 1, 2):
+        for delta in range((nu - 1) // 2 + 1):
+            if lv := comb(m - 1, nu - 1) * l_count(nu, delta):
+                for rest, v in enumerate(_odd_row(m - nu)):
+                    row[delta + rest] += lv * v
+    return tuple(row)
 
 
 @lru_cache(maxsize=None)
@@ -241,8 +233,7 @@ def p_count_partition(n: int, d: int, j: int) -> int:
     return _p_rows(n)[j - 2][d]
 
 
-@dataclass(frozen=True)
-class SeriesCatalog:
+class SeriesCatalog(NamedTuple):
     """Every closed-form generating series, built once per truncation order.
 
     The note in parentheses names the extraction that recovers the counts.
@@ -277,22 +268,15 @@ class SeriesCatalog:
     pair_factor_gf: MultiSeries
 
 
-CATALOG_SERIES = tuple(f.name for f in fields(SeriesCatalog) if f.name != "order")
-
-_CATALOG_CACHE: dict[int, SeriesCatalog] = {}
+CATALOG_SERIES = tuple(name for name in SeriesCatalog._fields if name != "order")
 
 
+@lru_cache(maxsize=None)
 def build_catalog(order: int) -> SeriesCatalog:
     """Build the full closed-form catalog at the given x-truncation order.
 
     Catalogs are cached per order and must be treated as immutable.
     """
-    if order not in _CATALOG_CACHE:
-        _CATALOG_CACHE[order] = _build_catalog(order)
-    return _CATALOG_CACHE[order]
-
-
-def _build_catalog(order: int) -> SeriesCatalog:
     one = series.one(order)
     t = series.monomial(order, 1, e_t=1)
     x = series.monomial(order, 1, e_x=1)
@@ -342,13 +326,13 @@ def _build_catalog(order: int) -> SeriesCatalog:
     )
 
 
+# taken here, so that clear_caches reaches each cache even while a caller has
+# put a wrapper in place of the module's name
+_CACHED = (eulerian_first, _eulerian_row, eulerian, _e_rows, _odd_row, _p_rows, build_catalog)
+
+
 def clear_caches() -> None:
     """Drop all memo tables and cached catalogs."""
     _FIRST_ROWS.clear()
-    eulerian_first.cache_clear()
-    _eulerian_row.cache_clear()
-    eulerian.cache_clear()
-    _e_rows.cache_clear()
-    _p_rows.cache_clear()
-    _ODD_ROWS.clear()
-    _CATALOG_CACHE.clear()
+    for fn in _CACHED:
+        fn.cache_clear()

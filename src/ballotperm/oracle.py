@@ -18,20 +18,19 @@ Tables are deterministic and, once built, must be treated as immutable
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, permutations, product
 
 ENUMERATION_CAP = 10
 
 
-@dataclass(frozen=True)
 class CountTable:
     """Sparse nonnegative counts keyed by index tuples; a missing key means 0."""
 
-    stat: str
-    n: int
-    entries: dict[tuple[int, ...], int]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: dict[tuple[int, ...], int]):
+        self.entries = entries
 
     def __getitem__(self, key) -> int:
         if not isinstance(key, tuple):
@@ -65,8 +64,8 @@ def _nonzero(rows: list, key: tuple[int, ...] = ()):
             yield key + (i,), x
 
 
-def _count_tables(n: int, counts: dict[str, list]) -> dict[str, CountTable]:
-    return {stat: CountTable(stat, n, dict(_nonzero(rows))) for stat, rows in counts.items()}
+def _count_tables(counts: dict[str, list]) -> dict[str, CountTable]:
+    return {stat: CountTable(dict(_nonzero(rows))) for stat, rows in counts.items()}
 
 
 def _pattern_ids(m: int) -> bytes:
@@ -128,8 +127,8 @@ def _word_tables(n: int) -> dict[str, CountTable]:
     descents.
     """
     if n < 2:                   # the empty word and the word 1: ballot, no descents
-        return _count_tables(n, {"b": [1]} if n == 0 else
-                             {"A_first": [[0, 1]], "b": [1], "E": [], "b_factor": []})
+        return _count_tables({"b": [1]} if n == 0 else
+                          {"A_first": [[0, 1]], "b": [1], "E": [], "b_factor": []})
     m = n - 1
     e, factor = _zeros(n, n), _zeros(n, n, n)                   # e[d][j], factor[d][i][j]
     classes = _gap_classes(m)
@@ -156,7 +155,7 @@ def _word_tables(n: int) -> dict[str, CountTable]:
             first[d][j] += (d + 1) * c          # n at the end or in a descent
             first[d + 1][j] += (m - 1 - d) * c  # n in an ascent
         first[d + 1][n] += count                # n in front
-    return _count_tables(n, {"A_first": first, "b": ballot, "E": e, "b_factor": factor})
+    return _count_tables({"A_first": first, "b": ballot, "E": e, "b_factor": factor})
 
 
 def _odd_order_cycles(m: int):
@@ -206,7 +205,7 @@ def _odd_cycle_tables(n: int) -> dict[str, CountTable]:
     full n-cycle iff L = n - 2.
     """
     if n == 1:
-        return _count_tables(n, {"M": [1], "p": [], "l": [1]})
+        return _count_tables({"M": [1], "p": [], "l": [1]})
     m_counts = _zeros(n)
     for (d,), count in _odd_cycle_tables(n - 1)["M"].entries.items():   # n fixed
         m_counts[d] += count
@@ -231,7 +230,7 @@ def _odd_cycle_tables(n: int) -> dict[str, CountTable]:
             p_counts[m][a + (a >= b)][b] += count
             if full:
                 l_counts[m] += count
-    return _count_tables(n, {"M": m_counts, "p": p_counts, "l": l_counts})
+    return _count_tables({"M": m_counts, "p": p_counts, "l": l_counts})
 
 
 def oracle_eulerian_first(n: int) -> CountTable:

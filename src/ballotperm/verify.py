@@ -23,8 +23,7 @@ their support, since enumeration is their only other route.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import counts, oracle, series
 from .counts import SeriesCatalog
@@ -34,8 +33,7 @@ Discrepancy = tuple[tuple, object, object] | None
 Stage = tuple[Discrepancy, int]  # the first discrepancy, the entries compared
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of one identity check."""
 
     name: str
@@ -256,8 +254,7 @@ def mutate_catalog(cat: SeriesCatalog, name: str) -> SeriesCatalog:
     if not terms:
         raise ValueError(f"series {name} has no terms to mutate")
     mono = min((m for m in terms if m[1] == 3), default=None) or min(terms)
-    terms[mono] += 1
-    return replace(cat, **{name: MultiSeries(s.order, terms)})
+    return cat._replace(**{name: s + series.monomial(s.order, 1, *mono)})
 
 
 def run_all(order: int = 10, n_max_oracle: int = 9,

@@ -164,7 +164,7 @@ def test_ballot_desc_table():
 
 
 def _odd_cycle_multisets(m, total_m):
-    # reference for counts._odd_cycle_arrangements: sum over multisets of
+    # reference for counts._odd_row: sum over multisets of
     # (length, M) cycle types, in Fraction, of the exponential formula's terms
     pairs = [(nu, de, l_count(nu, de))
              for nu in range(m if m % 2 else m - 1, 0, -2)
@@ -190,17 +190,17 @@ def _odd_cycle_multisets(m, total_m):
 
 
 def test_odd_cycle_arrangements_match_multiset_sum():
+    # a cycle of length nu has M <= (nu - 1) / 2, so row m stops at D = m // 2
     for m in range(15):
-        for total_m in range(-1, m + 2):
-            assert (counts._odd_cycle_arrangements(m, total_m)
-                    == _odd_cycle_multisets(m, total_m)), (m, total_m)
-    assert counts._odd_cycle_arrangements(-1, 0) == 0
+        assert counts._odd_row(m) == tuple(
+            _odd_cycle_multisets(m, total_m) for total_m in range(m // 2 + 1)), m
+        assert _odd_cycle_multisets(m, m // 2 + 1) == 0, m
 
 
 def test_odd_cycle_arrangements_total_ballot():
     # odd order permutations of [m] are equinumerous with ballot ones
     for m in range(41):
-        assert sum(counts._odd_cycle_arrangements(m, d) for d in range(m + 1)) == ballot_total(m)
+        assert sum(counts._odd_row(m)) == ballot_total(m)
 
 
 def test_p_count_partition_values():
@@ -238,7 +238,7 @@ def _e_count_by_entry(n, d, j):
 
 
 def _p_count_by_entry(n, d, j):
-    return sum(w * counts._odd_cycle_arrangements(n - l - 2, d - k - 1)
+    return sum(w * dict(enumerate(counts._odd_row(n - l - 2))).get(d - k - 1, 0)
                for l, k, w in _piece_weights_by_entry(n, j) if l % 2 and 2 * k < l)
 
 
@@ -347,8 +347,8 @@ def test_catalog_structure():
 
 
 def test_catalog_determinism_and_cache():
-    a = counts._build_catalog(4)
-    b = counts._build_catalog(4)
+    a = build_catalog.__wrapped__(4)
+    b = build_catalog.__wrapped__(4)
     for name in counts.CATALOG_SERIES:
         assert getattr(a, name).terms == getattr(b, name).terms
     assert build_catalog(4) is build_catalog(4)
@@ -389,7 +389,7 @@ def test_catalog_dumps_match_golden_hashes():
     golden = json.loads(GOLDEN.read_text())
     assert sorted(golden) == ["10", "15", "25", "6"]
     for order, digests in golden.items():
-        cat = counts._build_catalog(int(order))
+        cat = build_catalog.__wrapped__(int(order))
         assert sorted(digests) == sorted(counts.CATALOG_SERIES)
         for name, digest in digests.items():
             text = series.dump(getattr(cat, name))
@@ -413,23 +413,28 @@ def test_tables_match_golden_hashes():
 
 
 def _memo_sizes():
+    # every cache in the module, and the one memo table it keeps by hand
     lru = {name: fn.cache_info().currsize for name, fn in vars(counts).items()
            if hasattr(fn, "cache_info")}
-    return lru, {name: len(getattr(counts, name))
-                 for name in ("_FIRST_ROWS", "_ODD_ROWS", "_CATALOG_CACHE")}
+    return lru, len(counts._FIRST_ROWS)
 
 
-def test_clear_caches_drops_every_memo():
+def test_clear_caches_drops_every_memo(monkeypatch):
     def tables():
         return {stat: cli._table_entries(stat, n)
                 for stat, n in (("A", 14), ("A_first", 14), ("U", 14), ("E", 14), ("p", 14))}
 
     before = tables()
     build_catalog(4)
-    lru, held = _memo_sizes()
-    assert {"eulerian_first", "eulerian"} <= set(lru)
-    assert all(lru.values()) and all(held.values())
+    lru, rows = _memo_sizes()
+    assert {"eulerian_first", "eulerian", "build_catalog", "_odd_row"} <= set(lru)
+    # every cache holds something, so one that clear_caches missed would show
+    assert all(lru.values()) and rows, lru
+    # a tracing wrapper in place of build_catalog leaves its cache reachable
+    real = counts.build_catalog
+    monkeypatch.setattr(counts, "build_catalog", lambda order: real(order))
     counts.clear_caches()
-    lru, held = _memo_sizes()
-    assert not any(lru.values()) and not any(held.values()), (lru, held)
+    monkeypatch.undo()
+    lru, rows = _memo_sizes()
+    assert not any(lru.values()) and not rows, (lru, rows)
     assert tables() == before

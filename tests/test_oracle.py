@@ -130,7 +130,7 @@ def _dfs_odd_cycle_tables(n: int) -> dict[str, dict]:
 
 
 def test_count_table_access():
-    t = CountTable("b", 3, {(0,): 1, (1,): 2})
+    t = CountTable({(0,): 1, (1,): 2})
     assert t[0] == 1 and t[(1,)] == 2 and t[5] == 0
     assert t.total() == 3
     assert t.sorted_items() == [((0,), 1), ((1,), 2)]
@@ -319,11 +319,10 @@ def test_oracle_reads_no_other_route():
         assert "oracle" not in [*(name or "").split("."), *names], (name, names)
 
 
-def _ballotperm_modules_after(statement: str) -> set[str]:
+def _modules_after(statement: str) -> set[str]:
     # a fresh interpreter, so that nothing the test session imported counts
     src = str(Path(oracle.__file__).resolve().parent.parent)
-    code = (f"import sys; sys.path.insert(0, {src!r}); {statement}; "
-            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'ballotperm'))")
+    code = f"import sys; sys.path.insert(0, {src!r}); {statement}; print(' '.join(sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     return set(out.split())
@@ -332,9 +331,15 @@ def _ballotperm_modules_after(statement: str) -> set[str]:
 def test_each_command_loads_only_the_modules_it_runs():
     # the package imports no submodule: the CLI never loads the per-word
     # statistics, and the series kernels load nothing else of ballotperm
-    assert "ballotperm.permstat" not in _ballotperm_modules_after("import ballotperm.cli")
-    assert _ballotperm_modules_after("import ballotperm.series") == {
-        "ballotperm", "ballotperm.series"}
+    assert "ballotperm.permstat" not in _modules_after("import ballotperm.cli")
+    assert {m for m in _modules_after("import ballotperm.series")
+            if m.split(".")[0] == "ballotperm"} == {"ballotperm", "ballotperm.series"}
+
+
+def test_the_cli_loads_no_dataclass_machinery():
+    # records are NamedTuples or slotted classes, so `dataclasses` and the
+    # `inspect` it pulls in stay out of every command's start-up
+    assert not {"dataclasses", "inspect"} & _modules_after("import ballotperm.cli")
 
 
 @pytest.mark.parametrize("n", [8, 9])

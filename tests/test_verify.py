@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -43,6 +42,21 @@ def test_every_mutation_is_caught(name):
     assert all(r.first_discrepancy is not None for r in failed)
 
 
+@pytest.mark.parametrize("name", counts.CATALOG_SERIES)
+def test_mutation_bumps_one_monomial_by_one(name):
+    # the smallest monomial of x-degree 3, or the smallest one, goes from c
+    # to c + 1; nothing else of the catalog changes
+    cat = counts.build_catalog(7)
+    bad = verify.mutate_catalog(cat, name)
+    s = getattr(cat, name)
+    terms = s.terms
+    mono = min((m for m in terms if m[1] == 3), default=None) or min(terms)
+    assert series.first_difference(s, getattr(bad, name)) == (mono, terms[mono], terms[mono] + 1)
+    assert getattr(bad, name) - s == series.monomial(7, 1, *mono)
+    assert all(getattr(bad, other) is getattr(cat, other)
+               for other in counts.SeriesCatalog._fields if other != name)
+
+
 @pytest.mark.parametrize("order", [5, 6])
 def test_every_top_slice_bump_fails_the_suite(order, monkeypatch):
     # the catalog is built one order above the reports; every monomial of its
@@ -56,7 +70,7 @@ def test_every_top_slice_bump_fails_the_suite(order, monkeypatch):
     for name in ("eulerian_egf", "first_letter_gf", "first_sym_gf", "cyclic_factor_gf"):
         s = getattr(cat, name)
         for mono in sorted(m for m in s.terms if m[1] == cat.order):
-            bad = replace(cat, **{name: s + series.monomial(s.order, 1, *mono)})
+            bad = cat._replace(**{name: s + series.monomial(s.order, 1, *mono)})
             monkeypatch.setattr(counts, "build_catalog", lambda *args, bad=bad: bad)
             if all(r.passed for r in run_all(order=order, n_max_oracle=5)):
                 escaped.append((name, mono))
@@ -106,7 +120,7 @@ def _monomial(e_t, e_x, e_y, e_z=0):
 ])
 def test_support_violation_is_reported(name, check, extra, mono):
     cat = counts.build_catalog(7)
-    bad = replace(cat, **{name: getattr(cat, name) + extra})
+    bad = cat._replace(**{name: getattr(cat, name) + extra})
     # the two checks that also read brute force take its depth, here 6
     report = check(bad) if check is verify.check_symmetrized_first else check(bad, 6)
     assert not report.passed
@@ -124,7 +138,7 @@ def test_toeplitz_break_is_reported(monkeypatch):
             return table
         entries = dict(table.entries)
         entries[(0, 2, 4)] = table[(0, 2, 4)] + 1
-        return replace(table, entries=entries)
+        return oracle.CountTable(entries)
 
     monkeypatch.setattr(oracle, "oracle_p_cyclic", bumped)
     table = real(6)
@@ -146,7 +160,7 @@ def test_bridge_break_off_the_first_letter_is_reported(monkeypatch):
             return table
         entries = dict(table.entries)
         entries[(1, 2, 3)] = table[(1, 2, 3)] + 1
-        return replace(table, entries=entries)
+        return oracle.CountTable(entries)
 
     monkeypatch.setattr(oracle, "oracle_b_factor", bumped)
     bt, pt, bad = real(5), oracle.oracle_p_cyclic(5), bumped(5)
