@@ -24,13 +24,13 @@ from typing import Callable, Iterable, NamedTuple
 from . import counts, oracle, series, verify
 
 MAX_ORDER = 32     # no-force cap of verify and dump --order (verify: 1.0-1.4 s, 45 MB)
-MAX_N = 14         # no-force cap of table --n and of the verify --n b-file depth
+MAX_N = 14         # no-force cap of table --n and of the deepest --oeis-bfile row
 MAX_ORACLE_N = oracle.ENUMERATION_CAP
 # --force lifts the caps up to these ceilings, each near 30 s or below on a
 # 2-vCPU Xeon with Python 3.11: verify --order 40 takes 2-3 s and 84 MB with
 # --n-max-oracle 10, dump --order 44 takes about 3 s and 160 MB, and the
-# --oeis-bfile triangle, which grows as n^3, takes 22 s and 120 MB for a b-file
-# that reaches row 600 (only the rows up to the file's largest index are built).
+# --oeis-bfile rows, each built alone in O(n^2), take 23 s and 83 MB for a
+# b-file with a line in every row up to 600 (only the rows it names are built).
 MAX_FORCED_ORDER = {"verify": 40, "dump": 44}
 MAX_FORCED_BFILE_N = 600
 
@@ -101,8 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=10, help="series truncation order")
     p.add_argument("--n-max-oracle", type=int, default=9,
                    help="largest length for brute-force cross checks")
-    p.add_argument("--n", type=int, default=10,
-                   help="triangle depth for the --oeis-bfile comparison")
     p.add_argument("--oeis-bfile", metavar="PATH",
                    help="b-file with the Eulerian triangle read by rows")
     p.add_argument("--inject-mutation", metavar="SERIES", choices=counts.CATALOG_SERIES,
@@ -113,6 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=8)
 
     for command, p in sub.choices.items():
+        p.allow_abbrev = False      # a flag is spelled in full, never by a prefix
         p.add_argument("--out", metavar="PATH", help="write here instead of stdout")
         if command != "oracle":     # the oracle's ceiling is below every cap
             p.add_argument("--force", action="store_true",
@@ -177,11 +176,14 @@ def _cmd_table(args) -> int:
 def _cmd_verify(args) -> int:
     _check_bounds("--order", args.order, 1, MAX_ORDER, MAX_FORCED_ORDER["verify"], args.force)
     _check_bounds("--n-max-oracle", args.n_max_oracle, 0, MAX_N, MAX_ORACLE_N, args.force)
-    _check_bounds("--n", args.n, 1, MAX_N, MAX_FORCED_BFILE_N, args.force)
+    bfile = None if args.oeis_bfile is None else verify.read_bfile(args.oeis_bfile)
+    if bfile is not None:     # a bad or too deep file fails before the suite runs
+        rows = max((n for _, n, _, _ in bfile), default=0)
+        _check_bounds("--oeis-bfile row", rows, 0, MAX_N, MAX_FORCED_BFILE_N, args.force)
     reports = verify.run_all(order=args.order, n_max_oracle=args.n_max_oracle,
                              mutation=args.inject_mutation)
-    if args.oeis_bfile:
-        reports.append(verify.check_oeis_eulerian(args.oeis_bfile, n_max=args.n))
+    if bfile is not None:
+        reports.append(verify.check_oeis_eulerian(bfile))
     with _open(args.out) as fh:
         fh.write(json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n")
     return 0 if all(r.passed for r in reports) else 1

@@ -23,6 +23,7 @@ their support, since enumeration is their only other route.
 from __future__ import annotations
 
 import time
+from math import isqrt
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import counts, oracle, series
@@ -280,38 +281,34 @@ def run_all(order: int = 10, n_max_oracle: int = 9,
     ]
 
 
-def check_oeis_eulerian(path, n_max: int = 10) -> CheckReport:
-    """Compare the Eulerian triangle, read by rows, against a b-file prefix.
+def read_bfile(path) -> list[tuple[int, int, int, int]]:
+    """The lines 'index value' of a b-file (blank lines and # comments skipped)
+    as (k, n, d, value) in file order: index k >= 1 is A(n, d) of the Eulerian
+    triangle read by rows.  A malformed line or an index below 1 raises ValueError."""
+    entries = []
+    with open(path, encoding="ascii") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{lineno}: expected 'index value', got {raw!r}")
+            try:
+                k, value = int(parts[0]), int(parts[1])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if k < 1:
+                raise ValueError(f"{path}:{lineno}: index must be >= 1")
+            n = (isqrt(8 * k - 7) + 1) // 2
+            entries.append((k, n, k - n * (n - 1) // 2 - 1, value))
+    return entries
 
-    The file holds lines 'index value' (1-based, blank lines and # comments
-    allowed); every line whose index falls inside the computed triangle must
-    match.  Only the rows up to the largest index in the file are computed.  A
-    file with no such line compares nothing and does not pass.  Malformed lines
-    and indices below 1 raise ValueError.
-    """
+
+def check_oeis_eulerian(entries: list[tuple[int, int, int, int]]) -> CheckReport:
+    """Compare every read_bfile line with the Eulerian recursion, in file order,
+    building only the rows the file names.  The order is the deepest row, 0 for
+    a file with no line, which compares nothing and does not pass."""
     def stages():
-        entries: list[tuple[int, int]] = []
-        with open(path, encoding="ascii") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise ValueError(f"{path}:{lineno}: expected 'index value', got {raw!r}")
-                try:
-                    k, value = int(parts[0]), int(parts[1])
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
-                if k < 1:
-                    raise ValueError(f"{path}:{lineno}: index must be >= 1")
-                entries.append((k, value))
-        # rows 1..n hold the first n(n+1)/2 indices: build only those the file reaches
-        top, rows = max((k for k, _ in entries), default=0), 0
-        while rows < n_max and rows * (rows + 1) // 2 < top:
-            rows += 1
-        triangle = [(n, d, counts.eulerian(n, d)) for n in range(1, rows + 1) for d in range(n)]
-        yield _first_mismatch(((k, n, d), ours, value)
-                              for k, value in entries if k <= len(triangle)
-                              for n, d, ours in [triangle[k - 1]])
-    return _report("eulerian_oeis", n_max, stages())
+        yield _first_mismatch(((k, n, d), counts.eulerian(n, d), value)
+                              for k, n, d, value in entries)
+    return _report("eulerian_oeis", max((n for _, n, _, _ in entries), default=0), stages())

@@ -109,7 +109,8 @@ def test_criterion_09_pair_series_and_toeplitz_to_7():
 
 
 def test_criterion_10_oeis_prefix_and_ring_laws():
-    ok = verify.check_oeis_eulerian(FIXTURE, n_max=10).passed
+    report = verify.check_oeis_eulerian(verify.read_bfile(FIXTURE))
+    ok = report.passed and (report.compared, report.order) == (78, 12)
 
     rng = random.Random(20260809)
     order = 4
@@ -134,4 +135,5 @@ def test_criterion_10_oeis_prefix_and_ring_laws():
         ok = ok and series.geom(g) * (one - g) == one
         w = rand_series(min_x=1)
         ok = ok and tm1 * series.q_of(w) + one == series.exp_tm1(w)
-    _certify(10, "OEIS triangle prefix (n <= 10) and 1000 randomized ring laws", ok)
+    _certify(10, "every line of the OEIS fixture, rows 1-12, and 1000 randomized ring laws",
+             ok)

@@ -10,6 +10,7 @@ import time
 from math import factorial
 from pathlib import Path
 
+from ballotperm import counts
 from ballotperm.cli import (MAX_FORCED_BFILE_N, MAX_FORCED_ORDER, STATS, build_parser,
                             main)
 
@@ -241,18 +242,22 @@ def test_verify_cap(capsys):
     assert "the ceiling 10, got 11" in err and "force" not in err
 
 
-def test_force_ceilings(capsys):
+def test_force_ceilings(tmp_path, capsys):
     # no request runs without bound: past its ceiling even --force gets a
     # one-line error that names the flag and the ceiling
+    deep = tmp_path / "deep.txt"
+    deep.write_text("180301 1\n")      # index 180301 opens row 601
     for argv, flag, ceiling in [
-            (("verify", "--order"), "--order", MAX_FORCED_ORDER["verify"]),
-            (("dump", "--series", "ballot_gf", "--order"), "--order", MAX_FORCED_ORDER["dump"]),
-            (("verify", "--order", "2", "--n-max-oracle", "1", "--oeis-bfile", str(FIXTURE),
-              "--n"), "--n", MAX_FORCED_BFILE_N)]:
-        code, out, err = run(capsys, *argv, str(ceiling + 1), "--force")
+            (("verify", "--order", str(MAX_FORCED_ORDER["verify"] + 1)), "--order",
+             MAX_FORCED_ORDER["verify"]),
+            (("dump", "--series", "ballot_gf", "--order", str(MAX_FORCED_ORDER["dump"] + 1)),
+             "--order", MAX_FORCED_ORDER["dump"]),
+            (("verify", "--order", "2", "--n-max-oracle", "1", "--oeis-bfile", str(deep)),
+             "--oeis-bfile row", MAX_FORCED_BFILE_N)]:
+        code, out, err = run(capsys, *argv, "--force")
         assert code == 2 and out == "" and err.count("\n") == 1, argv
         assert err.startswith(f"error: {flag} ") and f"the ceiling {ceiling}," in err, argv
-        code, _, err = run(capsys, *argv, str(ceiling + 1))
+        code, _, err = run(capsys, *argv)
         assert code == 2 and "--force" in err and f"the ceiling {ceiling}" in err, argv
     code, out, err = run(capsys, "dump", "--series", "ballot_gf", "--order", "-1")
     assert code == 2 and out == "" and err == "error: --order must be >= 0, got -1\n"
@@ -265,22 +270,52 @@ def test_verify_rejects_negative_oracle_length(capsys):
     assert err.count("\n") == 1 and err.startswith("error: --n-max-oracle must be >= 0")
 
 
-def test_verify_rejects_bfile_depth_below_one(capsys):
-    code, out, err = run(capsys, "verify", "--order", "3", "--n-max-oracle", "3",
-                         "--oeis-bfile", str(FIXTURE), "--n", "0")
-    assert code == 2 and out == ""
-    assert err.count("\n") == 1 and err.startswith("error: --n must be >= 1")
-
-
-def test_verify_rejects_bfile_depth_above_cap(capsys):
-    # the triangle costs about n^4, so an unbounded depth never returns
+def test_verify_rejects_bfile_depth_above_cap(tmp_path, capsys):
+    # a row costs about n^2, so the depth a file reaches is bounded
+    deep = tmp_path / "deep.txt"
+    deep.write_text(f"{3000 * 2999 // 2 + 1} 1\n")     # the first entry of row 3000
     code, out, err = run(capsys, "verify", "--order", "2", "--n-max-oracle", "1",
-                         "--oeis-bfile", str(FIXTURE), "--n", "3000")
+                         "--oeis-bfile", str(deep))
     assert code == 2 and out == ""
-    assert err.count("\n") == 1 and err.startswith("error: --n 3000 exceeds the cap")
+    assert err.count("\n") == 1 and err.startswith("error: --oeis-bfile row 3000 exceeds the cap")
+    deep.write_text("106 1\n")      # the first entry of row 15
     code, out, _ = run(capsys, "verify", "--order", "2", "--n-max-oracle", "1",
-                       "--oeis-bfile", str(FIXTURE), "--n", "15", "--force")
+                       "--oeis-bfile", str(deep), "--force")
     assert code == 0 and json.loads(out)[-1]["name"] == "eulerian_oeis"
+    assert json.loads(out)[-1]["order"] == 15
+
+
+def test_verify_bfile_fails_before_the_build(tmp_path, capsys, monkeypatch):
+    # a missing, garbled or too deep b-file exits 2 before the catalog is built
+    def build_catalog(order):
+        raise AssertionError("the catalog was built")
+    monkeypatch.setattr(counts, "build_catalog", build_catalog)
+    bfile = tmp_path / "b.txt"
+    for text, force, message in [
+            (None, (), "No such file"),
+            ("1 1\n2 x\n", (), ":2: invalid literal"),
+            ("106 1\n", (), "row 15 exceeds the cap 14; --force lifts it"),
+            ("180301 1\n", (), "the ceiling 600"),
+            ("180301 1\n", ("--force",), "runs from 0 to the ceiling 600, got 601"),
+            (f"{10 ** 4000} 1\n", (), "the ceiling 600"),
+            (f"{10 ** 4000} 1\n", ("--force",), "the ceiling 600")]:
+        bfile.unlink(missing_ok=True)
+        if text is not None:
+            bfile.write_text(text)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--oeis-bfile", str(bfile), *force)
+        assert time.perf_counter() - start < 1, text
+        assert code == 2 and out == "" and err.count("\n") == 1, text
+        assert err.startswith("error: ") and message in err, text
+
+
+def test_flags_are_spelled_in_full(capsys):
+    # a prefix of a flag is a usage error, never the flag it abbreviates
+    for argv in (("verify", "--n", "10"), ("verify", "--n-max", "5"),
+                 ("table", "--st", "b", "--n", "3"),
+                 ("oracle", "--stat", "b", "--n", "3", "--form", "csv")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "usage: " in err, argv
 
 
 def test_verify_injected_mutation(capsys):
@@ -294,9 +329,11 @@ def test_verify_injected_mutation(capsys):
 
 def test_verify_with_oeis_bfile(capsys):
     code, out, _ = run(capsys, "verify", "--order", "3", "--n-max-oracle", "3",
-                       "--oeis-bfile", str(FIXTURE), "--n", "10")
+                       "--oeis-bfile", str(FIXTURE))
     assert code == 0
-    assert json.loads(out)[-1]["name"] == "eulerian_oeis"
+    report = json.loads(out)[-1]
+    assert report["name"] == "eulerian_oeis"
+    assert (report["compared"], report["order"]) == (78, 12)
 
 
 def test_verify_oeis_mismatch(tmp_path, capsys):

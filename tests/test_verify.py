@@ -6,7 +6,7 @@ import pytest
 from ballotperm import cli, counts, oracle, series, verify
 from ballotperm.verify import (CheckReport, check_ballot_totals,
                                check_m_equidistribution, check_oeis_eulerian,
-                               run_all)
+                               read_bfile, run_all)
 
 FIXTURE = Path(__file__).parent / "data" / "b008292.txt"
 GOLDEN = Path(__file__).parent / "data" / "verify_reports.json"
@@ -229,38 +229,81 @@ def test_ballot_totals_compares_one_row_per_length(order):
 
 
 def test_oeis_fixture_matches():
-    report = check_oeis_eulerian(FIXTURE, n_max=10)
+    report = check_oeis_eulerian(read_bfile(FIXTURE))
     assert report.passed
+    assert (report.compared, report.order) == (78, 12)
 
 
 def test_oeis_empty_file_matches(tmp_path):
     # nothing to compare is no evidence: the report must not pass
     path = tmp_path / "empty.txt"
     path.write_text("")
-    report = check_oeis_eulerian(path, n_max=5)
+    report = check_oeis_eulerian(read_bfile(path))
     assert not report.passed
     assert report.compared == 0 and report.first_discrepancy is None
+    assert report.order == 0
 
 
-@pytest.mark.parametrize("n_max,compared", [(1, 1), (4, 10), (12, 78), (13, 78)])
-def test_oeis_compares_every_line_inside_the_triangle(n_max, compared):
-    # the fixture holds the first 78 entries, rows n = 1..12
-    report = check_oeis_eulerian(FIXTURE, n_max=n_max)
+@pytest.mark.parametrize("rows,compared", [(1, 1), (4, 10), (12, 78), (13, 78)])
+def test_oeis_compares_every_line_inside_the_triangle(tmp_path, rows, compared):
+    # the fixture holds the first 78 entries, rows n = 1..12: the lines of its
+    # first `rows` rows are all compared, and the deepest of them is the order
+    path = tmp_path / "rows.txt"
+    lines = FIXTURE.read_text().splitlines()
+    path.write_text("".join(f"{line}\n" for line in lines if int(line.split()[0]) <=
+                            rows * (rows + 1) // 2))
+    report = check_oeis_eulerian(read_bfile(path))
     assert report.passed and report.compared == compared
+    assert report.order == min(rows, 12)
 
 
-def test_oeis_builds_only_the_rows_the_file_reaches():
-    # the fixture ends in row 12, so a triangle cap of 600 computes rows 1..12
+def test_oeis_builds_only_the_rows_the_file_reaches(tmp_path):
+    # the fixture names rows 1..12
     counts.clear_caches()
-    report = check_oeis_eulerian(FIXTURE, n_max=600)
+    report = check_oeis_eulerian(read_bfile(FIXTURE))
     assert report.passed and report.compared == 78
     assert counts._eulerian_row.cache_info().currsize == 12
+    # one line in row 40 builds row 40 alone
+    path = tmp_path / "deep.txt"
+    path.write_text(f"{40 * 39 // 2 + 3} {counts.eulerian(40, 2)}\n")
+    counts.clear_caches()
+    report = check_oeis_eulerian(read_bfile(path))
+    assert report.passed and (report.compared, report.order) == (1, 40)
+    assert counts._eulerian_row.cache_info().currsize == 1
+
+
+def test_read_bfile_maps_each_index_to_its_row_and_entry(tmp_path):
+    # index k is entry d of row n in the triangle read by rows, through row 199
+    want = [(k, n, d, k % 7) for k, (n, d) in
+            enumerate(((n, d) for n in range(1, 200) for d in range(n)), 1)]
+    path = tmp_path / "index.txt"
+    path.write_text("# comment\n\n" + "".join(f"  {k} {v}\n" for k, _, _, v in want))
+    assert read_bfile(path) == want
+    # the map is closed form, so an index of 4001 digits is read at once
+    path.write_text(f"{10 ** 4000} 1\n")
+    [(k, n, d, _)] = read_bfile(path)
+    assert n * (n - 1) // 2 < k <= n * (n + 1) // 2 and d == k - n * (n - 1) // 2 - 1
+
+
+def test_every_bumped_fixture_line_fails(tmp_path):
+    # a value bumped by 1 on any one line of the fixture fails at that line
+    lines = FIXTURE.read_text().splitlines()
+    data = [i for i, line in enumerate(lines) if line.strip() and not line.startswith("#")]
+    assert len(data) == 78
+    position = dict(enumerate(((n, d) for n in range(1, 13) for d in range(n)), 1))
+    path = tmp_path / "bumped.txt"
+    for i in data:
+        k, value = map(int, lines[i].split())
+        path.write_text("\n".join(lines[:i] + [f"{k} {value + 1}"] + lines[i + 1:]) + "\n")
+        report = check_oeis_eulerian(read_bfile(path))
+        assert not report.passed, k
+        assert report.first_discrepancy == ((k, *position[k]), value, value + 1), k
 
 
 def test_oeis_detects_alteration(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 1\n2 1\n3 1\n4 1\n5 5\n")
-    report = check_oeis_eulerian(path, n_max=5)
+    report = check_oeis_eulerian(read_bfile(path))
     assert not report.passed
     assert report.first_discrepancy == ((5, 3, 1), 4, 5)
 
@@ -269,12 +312,12 @@ def test_oeis_parse_failure(tmp_path):
     path = tmp_path / "garbled.txt"
     path.write_text("1 1\nnot numbers\n")
     with pytest.raises(ValueError):
-        check_oeis_eulerian(path)
+        read_bfile(path)
     path.write_text("1 one\n")
     with pytest.raises(ValueError):
-        check_oeis_eulerian(path)
+        read_bfile(path)
     # an index below 1 names no triangle entry: it is an error, not a skip
     for text, lineno in (("0 1\n", 1), ("1 1\n-5 3\n", 2)):
         path.write_text(text)
         with pytest.raises(ValueError, match=f":{lineno}: index must be >= 1"):
-            check_oeis_eulerian(path)
+            read_bfile(path)
