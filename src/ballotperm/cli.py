@@ -28,9 +28,9 @@ MAX_N = 14         # no-force cap of table --n and of the deepest --oeis-bfile r
 MAX_ORACLE_N = oracle.ENUMERATION_CAP
 # --force lifts the caps up to these ceilings, each near 30 s or below on a
 # 2-vCPU Xeon with Python 3.11: verify --order 40 takes 2-3 s and 84 MB with
-# --n-max-oracle 10, dump --order 44 takes about 3 s and 160 MB, and the
-# --oeis-bfile rows, each built alone in O(n^2), take 23 s and 83 MB for a
-# b-file with a line in every row up to 600 (only the rows it names are built).
+# --n-max-oracle 10, dump --order 44 takes about 3 s and 160 MB, and a b-file
+# with a line in every row up to 600 takes 0.3-0.4 s and 82 MB (each row is
+# built once, from the row below it).
 MAX_FORCED_ORDER = {"verify": 40, "dump": 44}
 MAX_FORCED_BFILE_N = 600
 
@@ -150,13 +150,14 @@ def _open(out: str | None):
 
 def _check_bounds(flag: str, value: int, low: int, cap: int, ceiling: int, force: bool) -> None:
     """`flag` takes `low` up to `cap`, which --force lifts, and never more than `ceiling`."""
+    got = value if abs(value) < 10 ** 20 else f"a {len(str(abs(value)))}-digit number"
     if value < low:
-        raise ValueError(f"{flag} must be >= {low}, got {value}")
+        raise ValueError(f"{flag} must be >= {low}, got {got}")
     if value > cap and ceiling > cap and not force:
-        raise ValueError(f"{flag} {value} exceeds the cap {cap}; "
+        raise ValueError(f"{flag} {got} exceeds the cap {cap}; "
                          f"--force lifts it to the ceiling {ceiling}")
     if value > ceiling:
-        raise ValueError(f"{flag} runs from {low} to the ceiling {ceiling}, got {value}")
+        raise ValueError(f"{flag} runs from {low} to the ceiling {ceiling}, got {got}")
 
 
 def _cmd_table(args) -> int:

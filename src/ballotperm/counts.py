@@ -9,10 +9,9 @@ routes against each other with exact integer arithmetic.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, chain, repeat
-from math import comb, factorial
+from math import comb, factorial, prod
 from operator import add, mul
 from typing import NamedTuple
 
@@ -20,26 +19,27 @@ from . import series
 from .series import MultiSeries
 
 
-# n -> row[d][j - 1] = A(n, d, j).  Kept by hand, not as a cache chained row
-# to row, which would hold every row below n: only the requested rows are
-# kept, each built up from the nearest cached row below it.
-_FIRST_ROWS: dict[int, list[list[int]]] = {}
+_FIRST_ROWS: dict[int, list[list[int]]] = {}        # n -> row[d][j - 1] = A(n, d, j)
+_EULERIAN_ROWS: dict[int, tuple[int, ...]] = {}     # n -> row[d] = A(n, d)
+
+
+def _grown_row(memo: dict, n: int, base, step):
+    """Row n >= 1 of the triangle with row 1 `base` and row m step(row m-1, m),
+    grown from the largest row below n in `memo`.  The memo keeps the rows
+    asked for, not every row below them as a cache chained row to row would."""
+    if n not in memo:
+        m = max((k for k in memo if k < n), default=1)
+        memo[n] = reduce(step, range(m + 1, n + 1), memo.get(m, base))
+    return memo[n]
 
 
 def _first_row(n: int) -> list[list[int]]:
-    """Row n >= 1 of the first-letter triangle, built upward from the largest
-    cached row below it.  The second letter i of the standardized tail lies
-    below j (a descent) or not, so A(m, d, j) = sum_{i<j} A(m-1, d-1, i) +
-    sum_{i>=j} A(m-1, d, i), a running sum over j that starts at sum_i A(m-1, d, i)."""
-    if n not in _FIRST_ROWS:
-        m = max((k for k in _FIRST_ROWS if k < n), default=1)
-        row = _FIRST_ROWS.get(m, [[1]])
-        for m in range(m + 1, n + 1):
-            pad = [[0] * (m - 1)]
-            row = [list(accumulate([sum(hi)] + [a - b for a, b in zip(lo, hi)]))
-                   for lo, hi in zip(pad + row, row + pad)]
-        _FIRST_ROWS[n] = row
-    return _FIRST_ROWS[n]
+    """Row n >= 1 of the first-letter triangle.  The second letter i of the
+    standardized tail lies below j (a descent) or not, so A(m, d, j) = sum_{i<j}
+    A(m-1, d-1, i) + sum_{i>=j} A(m-1, d, i): a running sum over j from sum_i A(m-1, d, i)."""
+    return _grown_row(_FIRST_ROWS, n, [[1]], lambda row, m: [
+        list(accumulate([sum(hi)] + [a - b for a, b in zip(lo, hi)]))
+        for lo, hi in zip([[0] * (m - 1)] + row, row + [[0] * (m - 1)])])
 
 
 @lru_cache(maxsize=None)
@@ -51,13 +51,10 @@ def eulerian_first(n: int, d: int, j: int) -> int:
     return _first_row(n)[d][j - 1]
 
 
-@lru_cache(maxsize=None)
 def _eulerian_row(n: int) -> tuple[int, ...]:
-    # A(m, d) = (d+1) A(m-1, d) + (m-d) A(m-1, d-1); only the last row is kept
-    row = [1]
-    for m in range(2, n + 1):
-        row = [(d + 1) * b + (m - d) * a for d, (a, b) in enumerate(zip([0] + row, row + [0]))]
-    return tuple(row)
+    # A(m, d) = (d+1) A(m-1, d) + (m-d) A(m-1, d-1); row 0 is row 1, (1,)
+    return _grown_row(_EULERIAN_ROWS, max(n, 1), (1,), lambda row, m: tuple(
+        (d + 1) * b + (m - d) * a for d, (a, b) in enumerate(zip((0,) + row, row + (0,)))))
 
 
 @lru_cache(maxsize=None)
@@ -158,11 +155,7 @@ def double_factorial(n: int) -> int:
     """n!! = n (n-2) (n-4) ..., with (-1)!! = 0!! = 1."""
     if n < -1:
         raise ValueError(f"double factorial needs n >= -1, got {n}")
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
+    return prod(range(n, 1, -2))
 
 
 def ballot_total(n: int) -> int:
@@ -173,14 +166,11 @@ def ballot_total(n: int) -> int:
 
 
 def _ballot_log_series(order: int) -> MultiSeries:
-    # sum over odd n of l(n, d) t^d x^n / n!
-    terms: dict[tuple[int, int, int, int], Fraction] = {}
+    # sum over odd n of l(n, d) t^d x^n / n!: slice n holds l(n, d) itself
+    s = MultiSeries(order)
     for n in range(1, order + 1, 2):
-        for d in range((n - 1) // 2 + 1):
-            c = l_count(n, d)
-            if c:
-                terms[(d, n, 0, 0)] = Fraction(c, factorial(n))
-    return MultiSeries(order, terms)
+        s.slices[n] = {(d, 0, 0): c for d in range((n - 1) // 2 + 1) if (c := l_count(n, d))}
+    return s
 
 
 def ballot_series(order: int) -> MultiSeries:
@@ -328,11 +318,12 @@ def build_catalog(order: int) -> SeriesCatalog:
 
 # taken here, so that clear_caches reaches each cache even while a caller has
 # put a wrapper in place of the module's name
-_CACHED = (eulerian_first, _eulerian_row, eulerian, _e_rows, _odd_row, _p_rows, build_catalog)
+_CACHED = (eulerian_first, eulerian, _e_rows, _odd_row, _p_rows, build_catalog)
 
 
 def clear_caches() -> None:
     """Drop all memo tables and cached catalogs."""
     _FIRST_ROWS.clear()
+    _EULERIAN_ROWS.clear()
     for fn in _CACHED:
         fn.cache_clear()

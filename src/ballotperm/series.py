@@ -9,11 +9,11 @@ exp recurrences, so every kernel works on the integer slices as they are: a
 product is a binomial convolution of slices, H_n = sum_k C(n, k) F_k G_(n-k),
 and geom, exp_series, q_of and exp_tm1 are each one online recurrence
 (`_recur`).  A product with a composed factor, s * u(x(1+y)) for u free of y
-and z, is one pass by Horner in 1+y (`subst_x_times`).  Fraction appears
-only at the boundary: the constructor takes {(e_t, e_x, e_y, e_z): Fraction}
-and refuses a coefficient whose n! multiple is not an integer, `.terms`
-builds such a dict afresh on each access, `coeff` returns a Fraction, and
-extract_* work in integers.
+and z, is one pass by Horner in 1+y (`subst_x_times`).  The constructor takes
+{(e_t, e_x, e_y, e_z): int or Fraction} and refuses any other coefficient, or
+one whose n! multiple is not an integer; extract_* work in integers.  Only
+`.terms` and `coeff`, which give Fractions, and the error of an extraction
+that is not an integer import `fractions`.
 
 Truncation is by the x-degree alone, and arithmetic on two series
 re-truncates to the smaller order.  Series are immutable by convention: no
@@ -27,9 +27,11 @@ like t -> 1/t are exponent transforms (`t_reverse`, `mirror_y_with_z`).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial, prod
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Monomial = tuple[int, int, int, int]
 Slice = dict[tuple[int, int, int], int]
@@ -40,14 +42,16 @@ class MultiSeries:
 
     __slots__ = ("order", "slices")
 
-    def __init__(self, order: int, terms: dict[Monomial, Fraction] | None = None):
+    def __init__(self, order: int, terms: dict[Monomial, int | Fraction] | None = None):
         if order < 0:
             raise ValueError(f"truncation order must be >= 0, got {order}")
         self.order = order
         self.slices: list[Slice] = [{} for _ in range(order + 1)]
         for (a, n, b, c), v in (terms or {}).items():
+            if not hasattr(v, "denominator"):     # an int or a Fraction; a float has none
+                raise ValueError(f"coefficient {v!r} of {(a, n, b, c)} is not an int or Fraction")
             if n <= order and v:
-                v = Fraction(v) * factorial(n)
+                v = v * factorial(n)
                 if v.denominator != 1:
                     raise ValueError(f"{n}! times the coefficient of {(a, n, b, c)} "
                                      f"is not an integer ({v})")
@@ -56,10 +60,12 @@ class MultiSeries:
     @property
     def terms(self) -> dict[Monomial, Fraction]:
         """{(e_t, e_x, e_y, e_z): Fraction}, built afresh on each access."""
+        from fractions import Fraction
         return {(a, n, b, c): Fraction(v, factorial(n))
                 for n, sl in enumerate(self.slices) for (a, b, c), v in sl.items()}
 
     def coeff(self, e_t: int = 0, e_x: int = 0, e_y: int = 0, e_z: int = 0) -> Fraction:
+        from fractions import Fraction
         if not 0 <= e_x <= self.order:
             return Fraction(0)
         return Fraction(self.slices[e_x].get((e_t, e_y, e_z), 0), factorial(e_x))
@@ -161,14 +167,14 @@ def zero(order: int) -> MultiSeries:
 
 
 def one(order: int) -> MultiSeries:
-    return MultiSeries(order, {(0, 0, 0, 0): Fraction(1)})
+    return MultiSeries(order, {(0, 0, 0, 0): 1})
 
 
 def monomial(order: int, coeff, e_t: int = 0, e_x: int = 0,
              e_y: int = 0, e_z: int = 0) -> MultiSeries:
     if min(e_t, e_x, e_y, e_z) < 0:
         raise ValueError("exponents must be nonnegative")
-    return MultiSeries(order, {(e_t, e_x, e_y, e_z): Fraction(coeff)})
+    return MultiSeries(order, {(e_t, e_x, e_y, e_z): coeff})
 
 
 def _require_no_x_constant(s: MultiSeries, what: str) -> None:
@@ -316,6 +322,7 @@ def _count(s: MultiSeries, n: int, key: tuple[int, int, int], weight: tuple[int,
     scale = factorial(n)
     value = s.slices[n].get(key, 0) * prod(map(factorial, weight))
     if value % scale:
+        from fractions import Fraction
         raise ValueError(f"{what} is not an integer ({Fraction(value, scale)}); "
                          "series data is corrupt")
     return value // scale

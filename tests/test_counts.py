@@ -66,6 +66,23 @@ def test_eulerian():
         assert sum(eulerian(n, d) for d in range(n)) == factorial(n)
 
 
+def _eulerian_row_from_row_1(n: int) -> tuple[int, ...]:
+    # A(m, d) = (d+1) A(m-1, d) + (m-d) A(m-1, d-1), every row from row 1
+    row = [1]
+    for m in range(2, n + 1):
+        row = [(d + 1) * b + (m - d) * a for d, (a, b) in enumerate(zip([0] + row, row + [0]))]
+    return tuple(row)
+
+
+def test_eulerian_rows_asked_in_any_order():
+    # each row grows from the largest kept row below it, and only the rows
+    # asked for are kept; row 0 is row 1
+    counts.clear_caches()
+    for n in (300, 20, 0, 60, 1, 50):
+        assert counts._eulerian_row(n) == _eulerian_row_from_row_1(n), n
+    assert sorted(counts._EULERIAN_ROWS) == [1, 20, 50, 60, 300]
+
+
 def eulerian_explicit(n: int, d: int) -> int:
     """Eulerian number by the classical alternating binomial sum, which shares
     nothing with the recursion of counts.eulerian."""
@@ -413,10 +430,11 @@ def test_tables_match_golden_hashes():
 
 
 def _memo_sizes():
-    # every cache in the module, and the one memo table it keeps by hand
-    lru = {name: fn.cache_info().currsize for name, fn in vars(counts).items()
-           if hasattr(fn, "cache_info")}
-    return lru, len(counts._FIRST_ROWS)
+    # every cache in the module, and the memo tables it keeps by hand
+    sizes = {name: fn.cache_info().currsize for name, fn in vars(counts).items()
+             if hasattr(fn, "cache_info")}
+    sizes.update(_FIRST_ROWS=len(counts._FIRST_ROWS), _EULERIAN_ROWS=len(counts._EULERIAN_ROWS))
+    return sizes
 
 
 def test_clear_caches_drops_every_memo(monkeypatch):
@@ -426,15 +444,15 @@ def test_clear_caches_drops_every_memo(monkeypatch):
 
     before = tables()
     build_catalog(4)
-    lru, rows = _memo_sizes()
-    assert {"eulerian_first", "eulerian", "build_catalog", "_odd_row"} <= set(lru)
-    # every cache holds something, so one that clear_caches missed would show
-    assert all(lru.values()) and rows, lru
+    sizes = _memo_sizes()
+    assert {"eulerian_first", "eulerian", "build_catalog", "_odd_row"} <= set(sizes)
+    # every memo holds something, so one that clear_caches missed would show
+    assert all(sizes.values()), sizes
     # a tracing wrapper in place of build_catalog leaves its cache reachable
     real = counts.build_catalog
     monkeypatch.setattr(counts, "build_catalog", lambda order: real(order))
     counts.clear_caches()
     monkeypatch.undo()
-    lru, rows = _memo_sizes()
-    assert not any(lru.values()) and not rows, (lru, rows)
+    sizes = _memo_sizes()
+    assert not any(sizes.values()), sizes
     assert tables() == before

@@ -342,6 +342,12 @@ def test_the_cli_loads_no_dataclass_machinery():
     assert not {"dataclasses", "inspect"} & _modules_after("import ballotperm.cli")
 
 
+def test_the_cli_loads_no_fractions():
+    # series coefficients are ints; only `.terms`, `coeff` and one error
+    # message build a Fraction, and import it when they do
+    assert not {"fractions", "decimal"} & _modules_after("import ballotperm.cli")
+
+
 @pytest.mark.parametrize("n", [8, 9])
 def test_insertion_walk_matches_streaming_walk(n):
     want = _streaming_word_tables(n)

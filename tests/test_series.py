@@ -52,6 +52,12 @@ def test_constructor_cleans():
         MultiSeries(3, {(0, 2, 0, 0): Fraction(1, 3)})
     with pytest.raises(ValueError, match="not an integer"):
         monomial(3, Fraction(1, 3), e_x=1)
+    # a coefficient is an int or a Fraction: a float is refused even when exact
+    for v in (0.5, 2.0, 0.0):
+        with pytest.raises(ValueError, match="not an int or Fraction"):
+            MultiSeries(3, {(0, 2, 0, 0): v})
+    with pytest.raises(ValueError, match="not an int or Fraction"):
+        monomial(3, 1.0, e_x=1)
 
 
 def test_basic_arithmetic():

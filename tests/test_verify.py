@@ -262,14 +262,14 @@ def test_oeis_builds_only_the_rows_the_file_reaches(tmp_path):
     counts.clear_caches()
     report = check_oeis_eulerian(read_bfile(FIXTURE))
     assert report.passed and report.compared == 78
-    assert counts._eulerian_row.cache_info().currsize == 12
+    assert len(counts._EULERIAN_ROWS) == 12
     # one line in row 40 builds row 40 alone
     path = tmp_path / "deep.txt"
     path.write_text(f"{40 * 39 // 2 + 3} {counts.eulerian(40, 2)}\n")
     counts.clear_caches()
     report = check_oeis_eulerian(read_bfile(path))
     assert report.passed and (report.compared, report.order) == (1, 40)
-    assert counts._eulerian_row.cache_info().currsize == 1
+    assert len(counts._EULERIAN_ROWS) == 1
 
 
 def test_read_bfile_maps_each_index_to_its_row_and_entry(tmp_path):
