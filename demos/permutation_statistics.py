@@ -40,9 +40,9 @@ print(f"{'n':>2}  {'total':>6}  tables")
 for n in range(1, 8):
     b = oracle_ballot_desc(n)
     m = oracle_odd_order_M(n)
-    assert b.entries == m.entries
+    assert b == m
     assert b.total() == ballot_total(n)
-    row = ", ".join(f"{d}:{v}" for (d,), v in b.sorted_items())
+    row = ", ".join(f"{d}:{v}" for (d,), v in sorted(b.items()))
     print(f"{n:>2}  {b.total():>6}  {{{row}}}")
 print("every row agrees between the two enumerations, "
       "and the totals are the double-factorial products.")

@@ -70,11 +70,11 @@ STATS = {
                          for d in range(n) for j in range(2, n)), 100, "oracle_E"),
     "b": Stat(lambda n: (((d,), v) for d, v in enumerate(counts.ballot_desc_row(n))),
               250, "oracle_ballot_desc"),
-    "l": Stat(lambda n: (((d,), counts.l_count(n, d)) for d in range((n - 1) // 2 + 1)),
+    "l": Stat(lambda n: (((d,), counts.l_count(n, d)) for d in range(n // 2 + 1)),
               1500, "oracle_l"),
     "p": Stat(lambda n: (((d, j), counts.p_count_partition(n, d, j))
                          for d in range(n) for j in range(2, n)), 115, "oracle_p_cyclic"),
-    "b_factor": Stat(lambda n: oracle.oracle_b_factor(n).sorted_items(), MAX_ORACLE_N,
+    "b_factor": Stat(lambda n: sorted(oracle.oracle_b_factor(n).items()), MAX_ORACLE_N,
                      "oracle_b_factor"),
     "M": Stat(None, MAX_ORACLE_N, "oracle_odd_order_M"),
 }
@@ -168,7 +168,7 @@ def _cmd_table(args) -> int:
     if args.command == "table":
         entries = _table_entries(args.stat, args.n)
     else:
-        entries = getattr(oracle, stat.oracle)(args.n).sorted_items()
+        entries = sorted(getattr(oracle, stat.oracle)(args.n).items())
     with _open(args.out) as fh:
         _write_table(fh, args.stat, args.n, entries, args.format)
     return 0

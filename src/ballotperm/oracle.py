@@ -11,43 +11,26 @@ of [n-2], cycle by cycle, with a -> n -> b spliced into a cycle.  Each visited
 word or odd order permutation is tallied by class, and each class is
 expanded over the gaps or over b: a count is never a formula.
 
-Tables are deterministic and, once built, must be treated as immutable
-(results are cached).  n is capped at ENUMERATION_CAP = 10, a hard ceiling:
-10! words is the limit of desk-scale enumeration.
+Each table is a `collections.Counter` keyed by index tuples, so a missing
+key reads 0.  Tables are deterministic and, once built, must be treated as
+immutable (results are cached).  Every table serves each n from 0 up to
+ENUMERATION_CAP = 10, a hard ceiling: 10! words is the limit of desk-scale
+enumeration.  Below its first nonempty size a table is empty, as no
+permutation qualifies; only `oracle_l` refuses an n, every even one.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, permutations, product
 
 ENUMERATION_CAP = 10
 
 
-class CountTable:
-    """Sparse nonnegative counts keyed by index tuples; a missing key means 0."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: dict[tuple[int, ...], int]):
-        self.entries = entries
-
-    def __getitem__(self, key) -> int:
-        if not isinstance(key, tuple):
-            key = (key,)
-        return self.entries.get(key, 0)
-
-    def total(self) -> int:
-        return sum(self.entries.values())
-
-    def sorted_items(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self.entries.items())
-
-
-def _check_n(n: int, minimum: int) -> None:
-    if not minimum <= n <= ENUMERATION_CAP:
-        raise ValueError(f"need {minimum} <= n <= {ENUMERATION_CAP} (the enumeration cap), "
-                         f"got {n}")
+def _check_n(n: int) -> None:
+    if not 0 <= n <= ENUMERATION_CAP:
+        raise ValueError(f"need 0 <= n <= {ENUMERATION_CAP} (the enumeration cap), got {n}")
 
 
 def _zeros(size: int, *rest: int) -> list:
@@ -64,8 +47,8 @@ def _nonzero(rows: list, key: tuple[int, ...] = ()):
             yield key + (i,), x
 
 
-def _count_tables(counts: dict[str, list]) -> dict[str, CountTable]:
-    return {stat: CountTable(dict(_nonzero(rows))) for stat, rows in counts.items()}
+def _count_tables(counts: dict[str, list]) -> dict[str, Counter]:
+    return {stat: Counter(dict(_nonzero(rows))) for stat, rows in counts.items()}
 
 
 def _pattern_ids(m: int) -> bytes:
@@ -113,7 +96,7 @@ def _gap_classes(m: int) -> list[tuple[int, bool, tuple[tuple[int, int], ...]]]:
 
 
 @lru_cache(maxsize=None)
-def _word_tables(n: int) -> dict[str, CountTable]:
+def _word_tables(n: int) -> dict[str, Counter]:
     """One walk over S_n, as S_{n-1} with n inserted, filling the A_first, b,
     E and b_factor tables.
 
@@ -126,9 +109,8 @@ def _word_tables(n: int) -> dict[str, CountTable]:
     ascent gaps gives d + 1, and n in front gives first letter n and d + 1
     descents.
     """
-    if n < 2:                   # the empty word and the word 1: ballot, no descents
-        return _count_tables({"b": [1]} if n == 0 else
-                          {"A_first": [[0, 1]], "b": [1], "E": [], "b_factor": []})
+    if n < 2:       # the empty word, with no first letter, and 1: ballot, no descents
+        return _count_tables({"A_first": [[0, 1]] * n, "b": [1], "E": [], "b_factor": []})
     m = n - 1
     e, factor = _zeros(n, n), _zeros(n, n, n)                   # e[d][j], factor[d][i][j]
     classes = _gap_classes(m)
@@ -187,7 +169,7 @@ def _odd_order_cycles(m: int):
 
 
 @lru_cache(maxsize=None)
-def _odd_cycle_tables(n: int) -> dict[str, CountTable]:
+def _odd_cycle_tables(n: int) -> dict[str, Counter]:
     """The M, p and l tables of the odd order permutations of [n], each
     visited once by inserting n.
 
@@ -204,10 +186,10 @@ def _odd_cycle_tables(n: int) -> dict[str, CountTable]:
     L + 2, n follows a + [a >= b] and precedes b, and the permutation is a
     full n-cycle iff L = n - 2.
     """
-    if n == 1:
-        return _count_tables({"M": [1], "p": [], "l": [1]})
+    if n < 2:       # M = 0 for the empty permutation and for 1, a full cycle
+        return _count_tables({"M": [1], "p": [], "l": [n]})
     m_counts = _zeros(n)
-    for (d,), count in _odd_cycle_tables(n - 1)["M"].entries.items():   # n fixed
+    for (d,), count in _odd_cycle_tables(n - 1)["M"].items():   # n fixed
         m_counts[d] += count
     splices = {}            # (M(s), D, L, a, c) -> count
     for cycles in _odd_order_cycles(n - 2):
@@ -233,47 +215,47 @@ def _odd_cycle_tables(n: int) -> dict[str, CountTable]:
     return _count_tables({"M": m_counts, "p": p_counts, "l": l_counts})
 
 
-def oracle_eulerian_first(n: int) -> CountTable:
+def oracle_eulerian_first(n: int) -> Counter:
     """(d, j) -> permutations of length n with d descents and first letter j."""
-    _check_n(n, 1)
+    _check_n(n)
     return _word_tables(n)["A_first"]
 
 
-def oracle_ballot_desc(n: int) -> CountTable:
+def oracle_ballot_desc(n: int) -> Counter:
     """(d,) -> ballot permutations of length n with d descents."""
-    _check_n(n, 0)
+    _check_n(n)
     return _word_tables(n)["b"]
 
 
-def oracle_odd_order_M(n: int) -> CountTable:
+def oracle_odd_order_M(n: int) -> Counter:
     """(d,) -> odd order permutations of length n whose M statistic is d."""
-    _check_n(n, 1)
+    _check_n(n)
     return _odd_cycle_tables(n)["M"]
 
 
-def oracle_E(n: int) -> CountTable:
+def oracle_E(n: int) -> Counter:
     """(d, j) -> permutations of length n with d descents having 1nj or jn1 as a factor."""
-    _check_n(n, 3)
+    _check_n(n)
     return _word_tables(n)["E"]
 
 
-def oracle_b_factor(n: int) -> CountTable:
+def oracle_b_factor(n: int) -> Counter:
     """(d, i, j) -> ballot permutations of length n with d descents and factor inj."""
-    _check_n(n, 3)
+    _check_n(n)
     return _word_tables(n)["b_factor"]
 
 
-def oracle_p_cyclic(n: int) -> CountTable:
+def oracle_p_cyclic(n: int) -> Counter:
     """(d, i, j) -> odd order permutations with M = d and cyclic factor inj."""
-    _check_n(n, 3)
+    _check_n(n)
     return _odd_cycle_tables(n)["p"]
 
 
-def oracle_l(n: int) -> CountTable:
+def oracle_l(n: int) -> Counter:
     """(d,) -> full n-cycles on [n] with M statistic d; n must be odd."""
     if n % 2 == 0:
         raise ValueError(f"cycle statistic tables need odd n, got {n}")
-    _check_n(n, 1)
+    _check_n(n)
     return _odd_cycle_tables(n)["l"]
 
 

@@ -110,7 +110,7 @@ def check_m_equidistribution(n_max: int) -> CheckReport:
             ((n,) + key, lhs[key], rhs[key])
             for n in range(1, n_max + 1)
             for lhs, rhs in [(oracle.oracle_ballot_desc(n), oracle.oracle_odd_order_M(n))]
-            for key in sorted(set(lhs.entries) | set(rhs.entries)))
+            for key in sorted(lhs.keys() | rhs.keys()))
     return _report("m_equidistribution", n_max, stages())
 
 

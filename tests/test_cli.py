@@ -99,8 +99,9 @@ def test_table_force_ceiling(capsys, tmp_path):
 
 
 def test_table_l_even_n_domain_error(capsys, tmp_path):
-    code, _, err = run(capsys, "table", "--stat", "l", "--n", "4")
-    assert code == 2 and "odd" in err
+    for n in ("0", "4"):
+        code, _, err = run(capsys, "table", "--stat", "l", "--n", n)
+        assert code == 2 and "odd" in err, n
     # the entries are computed before --out is opened, so an error leaves no file
     target = tmp_path / "P"
     code, out, err = run(capsys, "table", "--stat", "l", "--n", "4", "--out", str(target))
@@ -186,9 +187,20 @@ def test_oracle_command(capsys):
 
 
 def test_oracle_matches_table_for_b(capsys):
-    _, via_table, _ = run(capsys, "table", "--stat", "b", "--n", "6", "--format", "csv")
-    _, via_oracle, _ = run(capsys, "oracle", "--stat", "b", "--n", "6", "--format", "csv")
-    assert via_table == via_oracle
+    # both commands accept the same n of every stat they both serve, and each
+    # stat keyed alike on both routes renders the same bytes (p is keyed by
+    # (d, j) at i = 1 in the partition sum, by (d, i, j) in the oracle)
+    both = [stat for stat, entry in STATS.items() if entry.rows and entry.oracle]
+    assert sorted(both) == ["A_first", "E", "b", "b_factor", "l", "p"]
+    for stat in both:
+        for n in range(9):
+            for fmt in ("json", "csv"):
+                argv = ("--stat", stat, "--n", str(n), "--format", fmt)
+                code, via_table, _ = run(capsys, "table", *argv)
+                code_oracle, via_oracle, _ = run(capsys, "oracle", *argv)
+                assert code == code_oracle == (2 if stat == "l" and n % 2 == 0 else 0), argv
+                if stat != "p":
+                    assert via_table == via_oracle, argv
 
 
 def test_verify_low_order_passes(capsys):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 from itertools import permutations
 from math import factorial
 from operator import gt, lt
@@ -12,24 +13,22 @@ import pytest
 
 from ballotperm import counts, oracle
 from ballotperm.counts import ballot_total
-from ballotperm.oracle import (CountTable, oracle_E, oracle_b_factor,
-                               oracle_ballot_desc, oracle_eulerian_first,
-                               oracle_l, oracle_odd_order_M, oracle_p_cyclic)
+from ballotperm.oracle import (oracle_E, oracle_b_factor, oracle_ballot_desc,
+                               oracle_eulerian_first, oracle_l, oracle_odd_order_M,
+                               oracle_p_cyclic)
 from ballotperm.permstat import (cycle_decompose, descents, has_cyclic_factor_inj,
                                  has_factor_inj, is_ballot, is_odd_order,
                                  m_statistic)
 
 GOLDEN = Path(__file__).parent / "data" / "oracle_sha256.json"
 
-# stat -> (oracle function, smallest n it accepts)
-TABLES = {"A_first": (oracle_eulerian_first, 1), "b": (oracle_ballot_desc, 0),
-          "M": (oracle_odd_order_M, 1), "E": (oracle_E, 3),
-          "b_factor": (oracle_b_factor, 3), "p": (oracle_p_cyclic, 3),
-          "l": (oracle_l, 1)}
+# every table serves each 0 <= n <= ENUMERATION_CAP, but l only odd n
+TABLES = {"A_first": oracle_eulerian_first, "b": oracle_ballot_desc, "M": oracle_odd_order_M,
+          "E": oracle_E, "b_factor": oracle_b_factor, "p": oracle_p_cyclic, "l": oracle_l}
 
 
 def _accepted(stat: str, n: int) -> bool:
-    return n >= TABLES[stat][1] and (stat != "l" or n % 2 == 1)
+    return stat != "l" or n % 2 == 1
 
 
 def _naive_tables(n: int) -> dict[str, dict]:
@@ -52,7 +51,7 @@ def _naive_tables(n: int) -> dict[str, dict]:
             for i, j in pairs:
                 if has_factor_inj(w, i, j):
                     bump("b_factor", (d, i, j))
-        if n and is_odd_order(w):
+        if is_odd_order(w):
             m = m_statistic(w)
             bump("M", (m,))
             if len(cycle_decompose(w)) == 1:
@@ -130,15 +129,18 @@ def _dfs_odd_cycle_tables(n: int) -> dict[str, dict]:
 
 
 def test_count_table_access():
-    t = CountTable({(0,): 1, (1,): 2})
-    assert t[0] == 1 and t[(1,)] == 2 and t[5] == 0
+    # a table is a Counter: a missing key reads 0 and is not stored
+    t = oracle_ballot_desc(3)
+    assert isinstance(t, Counter)
+    assert t[(0,)] == 1 and t[(1,)] == 2 and t[(5,)] == 0
+    assert (5,) not in t
     assert t.total() == 3
-    assert t.sorted_items() == [((0,), 1), ((1,), 2)]
+    assert sorted(t.items()) == [((0,), 1), ((1,), 2)]
 
 
 def test_eulerian_first_small():
-    assert oracle_eulerian_first(1).entries == {(0, 1): 1}
-    assert oracle_eulerian_first(3).entries == {
+    assert oracle_eulerian_first(1) == {(0, 1): 1}
+    assert oracle_eulerian_first(3) == {
         (0, 1): 1, (1, 1): 1, (1, 2): 2, (1, 3): 1, (2, 3): 1}
 
 
@@ -151,23 +153,23 @@ def test_eulerian_first_row_sums():
 
 
 def test_ballot_desc():
-    assert oracle_ballot_desc(0).entries == {(0,): 1}
-    assert oracle_ballot_desc(3).entries == {(0,): 1, (1,): 2}
+    assert oracle_ballot_desc(0) == {(0,): 1}
+    assert oracle_ballot_desc(3) == {(0,): 1, (1,): 2}
     assert oracle_ballot_desc(4).total() == 9
     for n in range(8):
         assert oracle_ballot_desc(n).total() == ballot_total(n)
 
 
 def test_odd_order_m():
-    assert oracle_odd_order_M(1).entries == {(0,): 1}
-    assert oracle_odd_order_M(3).entries == {(0,): 1, (1,): 2}
+    assert oracle_odd_order_M(1) == {(0,): 1}
+    assert oracle_odd_order_M(3) == {(0,): 1, (1,): 2}
     t5 = oracle_odd_order_M(5)
     assert t5.total() == 45
-    assert t5.entries == oracle_ballot_desc(5).entries
+    assert t5 == oracle_ballot_desc(5)
 
 
 def test_e_table():
-    assert oracle_E(3).entries == {(1, 2): 2}
+    assert oracle_E(3) == {(1, 2): 2}
     assert oracle_E(4)[(1, 2)] == 2
     for n in range(3, 7):
         t = oracle_E(n)
@@ -197,7 +199,7 @@ def test_e_table_splits_into_disjoint_orientations():
 def test_b_factor():
     t = oracle_b_factor(3)
     assert t[(1, 1, 2)] == 1 and t[(1, 2, 1)] == 1
-    assert all(i != j for (_, i, j) in t.entries)
+    assert all(i != j for (_, i, j) in t)
 
 
 def test_b_factor_vs_p_cyclic_bridge():
@@ -208,8 +210,8 @@ def test_b_factor_vs_p_cyclic_bridge():
 
 
 def test_p_cyclic():
-    assert oracle_p_cyclic(3).entries == {(1, 1, 2): 1, (1, 2, 1): 1}
-    assert all(i != j for (_, i, j) in oracle_p_cyclic(5).entries)
+    assert oracle_p_cyclic(3) == {(1, 1, 2): 1, (1, 2, 1): 1}
+    assert all(i != j for (_, i, j) in oracle_p_cyclic(5))
 
 
 def test_p_cyclic_toeplitz():
@@ -223,40 +225,44 @@ def test_p_cyclic_toeplitz():
 
 
 def test_l_table():
-    assert oracle_l(1).entries == {(0,): 1}
-    assert oracle_l(3).entries == {(1,): 2}
+    assert oracle_l(1) == {(0,): 1}
+    assert oracle_l(3) == {(1,): 2}
     assert oracle_l(5)[(1,)] == 2
-    with pytest.raises(ValueError):
-        oracle_l(4)
+    for n in (0, 4):
+        with pytest.raises(ValueError, match="odd"):
+            oracle_l(n)
 
 
 def test_preconditions():
-    with pytest.raises(ValueError):
-        oracle_eulerian_first(0)
-    with pytest.raises(ValueError):
-        oracle_E(2)
-    with pytest.raises(ValueError):
-        oracle_ballot_desc(oracle.ENUMERATION_CAP + 1)
+    # one bound, 0 <= n <= ENUMERATION_CAP; below its first nonempty size a
+    # table is empty, as no permutation qualifies
+    for stat, fn in TABLES.items():
+        for n in (-1, oracle.ENUMERATION_CAP + 1):
+            with pytest.raises(ValueError):
+                fn(n)
+    assert oracle_eulerian_first(0) == {} and oracle_E(2) == {}
+    assert oracle_b_factor(2) == {} and oracle_p_cyclic(0) == {}
+    assert oracle_odd_order_M(0) == oracle_ballot_desc(0) == {(0,): 1}
 
 
 def test_determinism():
-    before = dict(oracle_ballot_desc(4).entries)
+    before = dict(oracle_ballot_desc(4))
     oracle.clear_caches()
-    assert oracle_ballot_desc(4).entries == before
-    for stat, (fn, _) in TABLES.items():
+    assert oracle_ballot_desc(4) == before
+    for stat, fn in TABLES.items():
         first = fn(5)
         oracle.clear_caches()
         again = fn(5)
         assert again is not first, stat        # rebuilt, not served from a cache
-        assert again.entries == first.entries, stat
+        assert again == first, stat
 
 
-@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("n", range(9))
 def test_walks_match_naive_reference(n):
     naive = _naive_tables(n)
-    for stat, (fn, _) in TABLES.items():
+    for stat, fn in TABLES.items():
         if _accepted(stat, n):
-            assert fn(n).entries == naive[stat], (stat, n)
+            assert fn(n) == naive[stat], (stat, n)
 
 
 def _pattern_id(w: tuple[int, ...]) -> int:
@@ -354,7 +360,7 @@ def test_insertion_walk_matches_streaming_walk(n):
     got = oracle._word_tables(n)
     assert set(got) == set(want)
     for stat, entries in want.items():
-        assert got[stat].entries == entries, (stat, n)
+        assert got[stat] == entries, (stat, n)
 
 
 @pytest.mark.parametrize("n", [8, 9])
@@ -363,14 +369,14 @@ def test_insertion_odd_walk_matches_dfs(n):
     got = oracle._odd_cycle_tables(n)
     assert set(got) == set(want)
     for stat, entries in want.items():
-        assert got[stat].entries == entries, (stat, n)
+        assert got[stat] == entries, (stat, n)
 
 
 # OEIS A000246: odd order permutations of [n], a(n) = a(n-1) + (n-1)(n-2) a(n-2)
 ODD_ORDER = (1, 1, 1, 3, 9, 45, 225, 1575, 11025, 99225, 893025)
 
 
-@pytest.mark.parametrize("n", range(1, oracle.ENUMERATION_CAP + 1))
+@pytest.mark.parametrize("n", range(oracle.ENUMERATION_CAP + 1))
 def test_odd_cycle_totals(n):
     tables = oracle._odd_cycle_tables(n)
     assert tables["M"].total() == ODD_ORDER[n]
@@ -394,14 +400,16 @@ def test_odd_order_cycles_in_cycle_list_order(m):
 
 
 def test_tables_match_golden_hashes():
-    # recorded from the per-table enumerations that the two walks replaced
+    # recorded from the per-table enumerations that the two walks replaced;
+    # the empty tables below each first nonempty size, and M at 0, from
+    # `_naive_tables`
     golden = json.loads(GOLDEN.read_text())
     assert set(golden) == set(TABLES)
-    for stat, (fn, _) in TABLES.items():
+    for stat, fn in TABLES.items():
         want_ns = [n for n in range(oracle.ENUMERATION_CAP + 1) if _accepted(stat, n)]
         assert sorted(map(int, golden[stat])) == want_ns, stat
         for n in want_ns:
-            got = hashlib.sha256(repr(fn(n).sorted_items()).encode()).hexdigest()
+            got = hashlib.sha256(repr(sorted(fn(n).items())).encode()).hexdigest()
             assert got == golden[stat][str(n)], (stat, n)
 
 
