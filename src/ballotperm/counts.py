@@ -10,9 +10,9 @@ routes against each other with exact integer arithmetic.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from math import comb, factorial, prod
-from operator import add, mul
+from operator import mul
 from typing import NamedTuple
 
 from . import series
@@ -95,10 +95,8 @@ def _factor_rows(n: int, rest, odd: bool) -> list[list[int]]:
     wb = (2 * factorial(n)).bit_length() // 8 + 1     # at least one spare bit
     acc = [0] * (n - 2)
     for l in range(1, n - 1, 1 + odd):
-        a, zero = _first_row(l), [0] * l
-        sym = [map(add, lo, hi) for lo, hi in zip([zero] + a, a[::-1] + [zero])]
-        # column u of sym, k = 0..l, is field u of its column-major packing
-        cols = _unpack(_pack(chain.from_iterable(zip(*sym)), wb), wb * (l + 1), l)
+        # field k of column u is U(l, k, u+1)
+        cols = [(_pack(c, wb) << 8 * wb) + _pack(c[::-1], wb) for c in zip(*_first_row(l))]
         q = _pack((0,) + rest(n - l - 2), wb)     # n and its descent shift by one
         mask = (1 << 8 * wb * ((l + 1) // 2 if odd else l + 1)) - 1
         for j in range(2, n):

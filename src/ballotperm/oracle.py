@@ -254,7 +254,7 @@ def oracle_p_cyclic(n: int) -> Counter:
 def oracle_l(n: int) -> Counter:
     """(d,) -> full n-cycles on [n] with M statistic d; n must be odd."""
     if n % 2 == 0:
-        raise ValueError(f"cycle statistic tables need odd n, got {n}")
+        raise ValueError(f"cycle length must be odd, got {n}")
     _check_n(n)
     return _odd_cycle_tables(n)["l"]
 

@@ -1,19 +1,20 @@
 """The certification suite: every counting identity checked along independent
 routes, coefficient by coefficient, in exact integer arithmetic.
 
-A check is a lazy sequence of stages, each comparing two routes: the rows of an
+A check is a generator of its stages, each comparing two routes: the rows of an
 index grid in lexicographic order, two whole series, or the support of one
-series.  The first discrepancy ends the check, and its CheckReport carries the
-smallest discrepant index with both values and `compared`, the number of
-entries compared: grid rows up to the discrepancy, and the monomials stored in
-the series.  A check that compared nothing does not pass.  All comparisons are
-exact equality, never tolerances.  A check that reads series takes the catalog
-it certifies, built one order above its reporting order, and reports at
-cat.order - 1, so that identities involving formal derivatives are exact at the
-reported order.  The grids that hold a series against a recursion or a
-partition sum take no derivative and run to cat.order, so they compare the
-x^(order+1) slice as well; the other series are held there by identities at
-the full catalog order.
+series.  A brute-force stage fetches its oracle table when the check reaches
+it.  The one decorator `_check` runs the stages: the first discrepancy ends the
+check, and its CheckReport carries the smallest discrepant index with both
+values and `compared`, the number of entries compared: grid rows up to the
+discrepancy, and the monomials stored in the series.  A check that compared
+nothing does not pass.  All comparisons are exact equality, never tolerances.
+A check that reads series takes the catalog it certifies, built one order above
+its reporting order, and reports at cat.order - 1, so that identities involving
+formal derivatives are exact at the reported order.  The grids that hold a
+series against a recursion or a partition sum take no derivative and run to
+cat.order, so they compare the x^(order+1) slice as well; the other series are
+held there by identities at the full catalog order.
 
 Not certified: the coefficients of `pair_factor_gf` with x-degree above
 `n_max_oracle`, its x^(order+1) slice included, which are checked only for
@@ -22,6 +23,7 @@ their support, since enumeration is their only other route.
 
 from __future__ import annotations
 
+import functools
 import time
 from math import isqrt
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -55,8 +57,7 @@ class CheckReport(NamedTuple):
 
 def _first_mismatch(rows: Iterable[tuple[tuple, object, object]]) -> Stage:
     """The first (index, got, want) row with got != want, and the number of
-    rows compared up to and including it.  Row generators fetch an oracle
-    table by `for table in [oracle.xxx(n)]`, once per n, when the rows reach n."""
+    rows compared up to and including it."""
     compared = 0
     for compared, (index, got, want) in enumerate(rows, 1):
         if got != want:
@@ -76,175 +77,162 @@ def _support(s: MultiSeries, outside: Callable[[Monomial], bool]) -> Stage:
     return series.first_difference(bad, series.zero(s.order)), series.n_monomials(s)
 
 
-def _report(name: str, order: int, stages: Iterator[Stage]) -> CheckReport:
-    """Run the stages until one finds a discrepancy."""
-    start = time.perf_counter()
-    disc, compared = None, 0
-    for mismatch, count in stages:
-        compared += count
-        if mismatch is not None:
-            disc = mismatch
-            break
-    return CheckReport(name, order, disc is None and compared > 0, disc,
-                       time.perf_counter() - start, compared)
+def _check(name: str, order: Callable[..., int] = lambda cat, *_, **__: cat.order - 1):
+    """Make a generator of stages the check `name`, which reports at `order` of
+    its arguments: run the stages until one finds a discrepancy, summing what
+    they compared."""
+    def decorate(stages: Callable[..., Iterator[Stage]]) -> Callable[..., CheckReport]:
+        @functools.wraps(stages)
+        def check(*args, **kwargs) -> CheckReport:
+            start = time.perf_counter()
+            disc, compared = None, 0
+            for mismatch, count in stages(*args, **kwargs):
+                compared += count
+                if mismatch is not None:
+                    disc = mismatch
+                    break
+            return CheckReport(name, order(*args, **kwargs), disc is None and compared > 0, disc,
+                               time.perf_counter() - start, compared)
+        return check
+    return decorate
 
 
-def check_ballot_totals(cat: SeriesCatalog) -> CheckReport:
+@_check("ballot_totals")
+def check_ballot_totals(cat: SeriesCatalog) -> Iterator[Stage]:
     """Row sums of the exponential ballot series match the double-factorial product."""
-    order = cat.order - 1
-
-    def stages():
-        yield _first_mismatch(
-            ((n,), sum(series.extract_egf(cat.ballot_gf, n, d)
-                       for d in range(max(1, (n - 1) // 2 + 1))),
-             counts.ballot_total(n))
-            for n in range(order + 1))
-    return _report("ballot_totals", order, stages())
+    yield _first_mismatch(
+        ((n,), sum(series.extract_egf(cat.ballot_gf, n, d)
+                   for d in range(max(1, (n - 1) // 2 + 1))),
+         counts.ballot_total(n))
+        for n in range(cat.order))
 
 
-def check_m_equidistribution(n_max: int) -> CheckReport:
+@_check("m_equidistribution", order=lambda n_max: n_max)
+def check_m_equidistribution(n_max: int) -> Iterator[Stage]:
     """Ballot permutations by descents and odd order permutations by the M
     statistic are equinumerous, by double enumeration."""
-    def stages():
-        yield _first_mismatch(
-            ((n,) + key, lhs[key], rhs[key])
-            for n in range(1, n_max + 1)
-            for lhs, rhs in [(oracle.oracle_ballot_desc(n), oracle.oracle_odd_order_M(n))]
-            for key in sorted(lhs.keys() | rhs.keys()))
-    return _report("m_equidistribution", n_max, stages())
+    for n in range(1, n_max + 1):
+        lhs, rhs = oracle.oracle_ballot_desc(n), oracle.oracle_odd_order_M(n)
+        yield _first_mismatch(((n,) + key, lhs[key], rhs[key])
+                              for key in sorted(lhs.keys() | rhs.keys()))
 
 
-def check_first_letter_gf(cat: SeriesCatalog) -> CheckReport:
+@_check("first_letter_gf")
+def check_first_letter_gf(cat: SeriesCatalog) -> Iterator[Stage]:
     """The closed form for the first-letter refinement: extraction equals the
     second-letter recursion, the defining PDE holds, the y-linear slice
     collapses to the plain Eulerian series, and that series equals the
     Eulerian recursion."""
-    order = cat.order - 1
+    first = cat.first_letter_gf
+    yield _first_mismatch(
+        ((n, d, j), series.extract_first(first, n, d, j), counts.eulerian_first(n, d, j))
+        for n in range(1, cat.order + 1) for d in range(n) for j in range(1, n + 1))
 
-    def stages():
-        first = cat.first_letter_gf
-        yield _first_mismatch(
-            ((n, d, j), series.extract_first(first, n, d, j), counts.eulerian_first(n, d, j))
-            for n in range(1, cat.order + 1) for d in range(n) for j in range(1, n + 1))
+    # y dA/dy - A = xy dA/dx - y^2 dA/dy + t xy A - xy A, exact one order
+    # below the catalog order because d/dx consumes a slice
+    t = series.monomial(cat.order, 1, e_t=1)
+    y = series.monomial(cat.order, 1, e_y=1)
+    xy = series.monomial(cat.order, 1, e_x=1, e_y=1)
+    dy = series.d_dy(first)
+    yield _same(y * dy - first,
+                xy * series.d_dx(first) - y * y * dy + t * xy * first - xy * first)
 
-        # y dA/dy - A = xy dA/dx - y^2 dA/dy + t xy A - xy A, exact one order
-        # below the catalog order because d/dx consumes a slice
-        t = series.monomial(cat.order, 1, e_t=1)
-        y = series.monomial(cat.order, 1, e_y=1)
-        xy = series.monomial(cat.order, 1, e_x=1, e_y=1)
-        dy = series.d_dy(first)
-        yield _same(y * dy - first,
-                    xy * series.d_dx(first) - y * y * dy + t * xy * first - xy * first)
+    # the y-linear slice, with y dropped, is x times the full Eulerian EGF
+    lin = series.select(first, lambda m: m[2] == 1)
+    lin = series.map_exponents(lin, lambda m: (m[0], m[1], 0, m[3]))
+    yield _same(lin, series.monomial(cat.order, 1, e_x=1) * cat.eulerian_egf)
 
-        # the y-linear slice, with y dropped, is x times the full Eulerian EGF
-        lin = series.select(first, lambda m: m[2] == 1)
-        lin = series.map_exponents(lin, lambda m: (m[0], m[1], 0, m[3]))
-        yield _same(lin, series.monomial(cat.order, 1, e_x=1) * cat.eulerian_egf)
-
-        # the product above drops the top slice of the Eulerian EGF; the
-        # Eulerian recursion reads every slice
-        yield _first_mismatch(
-            ((n, d), series.extract_egf(cat.eulerian_egf, n, d), counts.eulerian(n, d))
-            for n in range(cat.order + 1) for d in range(max(1, n)))
-    return _report("first_letter_gf", order, stages())
+    # the product above drops the top slice of the Eulerian EGF; the
+    # Eulerian recursion reads every slice
+    yield _first_mismatch(
+        ((n, d), series.extract_egf(cat.eulerian_egf, n, d), counts.eulerian(n, d))
+        for n in range(cat.order + 1) for d in range(max(1, n)))
 
 
-def check_symmetrized_first(cat: SeriesCatalog) -> CheckReport:
+@_check("symmetrized_first_letter")
+def check_symmetrized_first(cat: SeriesCatalog) -> Iterator[Stage]:
     """The symmetrized first-letter series: extraction matches the two-term
     Eulerian formula, and the low-descent odd part together with its
     t-reversal reconstructs the odd-x slice."""
-    order = cat.order - 1
-
-    def stages():
-        sym, low = cat.first_sym_gf, cat.first_sym_odd_gf
-        yield _first_mismatch(
-            ((n, d, j), series.extract_first(sym, n, d, j), counts.u_count(n, d, j))
-            for n in range(1, cat.order + 1) for d in range(n + 1) for j in range(1, n + 1))
-        yield _same(low + series.t_reverse(low), series.select(sym, lambda m: m[1] % 2))
-        yield _support(low, lambda m: m[1] % 2 == 0 or 2 * m[0] > m[1] - 1)
-    return _report("symmetrized_first_letter", order, stages())
+    sym, low = cat.first_sym_gf, cat.first_sym_odd_gf
+    yield _first_mismatch(
+        ((n, d, j), series.extract_first(sym, n, d, j), counts.u_count(n, d, j))
+        for n in range(1, cat.order + 1) for d in range(n + 1) for j in range(1, n + 1))
+    yield _same(low + series.t_reverse(low), series.select(sym, lambda m: m[1] % 2))
+    yield _support(low, lambda m: m[1] % 2 == 0 or 2 * m[0] > m[1] - 1)
 
 
-def check_factor_counts(cat: SeriesCatalog, n_max_oracle: int) -> CheckReport:
+@_check("factor_counts")
+def check_factor_counts(cat: SeriesCatalog, n_max_oracle: int) -> Iterator[Stage]:
     """Permutations with a factor 1nj or jn1: closed form, block recursion and
     enumeration agree entrywise, enumeration for n <= min(order, n_max_oracle)."""
-    order = cat.order - 1
-
-    def stages():
-        factor = cat.factor_gf
-        yield _first_mismatch(
-            ((n, d, j), series.extract_factor(factor, n, d, j), counts.e_count_rec(n, d, j))
-            for n in range(3, cat.order + 1) for d in range(n) for j in range(2, n))
-        yield _support(factor, lambda m: not 2 <= m[2] <= m[1] - 1)
-        yield _first_mismatch(
-            ((n, d, j), counts.e_count_rec(n, d, j), table[(d, j)])
-            for n in range(3, min(order, n_max_oracle) + 1)
-            for table in [oracle.oracle_E(n)]
-            for d in range(n) for j in range(2, n))
-    return _report("factor_counts", order, stages())
+    factor = cat.factor_gf
+    yield _first_mismatch(
+        ((n, d, j), series.extract_factor(factor, n, d, j), counts.e_count_rec(n, d, j))
+        for n in range(3, cat.order + 1) for d in range(n) for j in range(2, n))
+    yield _support(factor, lambda m: not 2 <= m[2] <= m[1] - 1)
+    for n in range(3, min(cat.order - 1, n_max_oracle) + 1):
+        table = oracle.oracle_E(n)
+        yield _first_mismatch(((n, d, j), counts.e_count_rec(n, d, j), table[(d, j)])
+                              for d in range(n) for j in range(2, n))
 
 
-def check_functional_equation(cat: SeriesCatalog) -> CheckReport:
+@_check("functional_equation")
+def check_functional_equation(cat: SeriesCatalog) -> Iterator[Stage]:
     """The functional equation tying the ballot factor series to the plain
     factor series, plus the reversal product identity for the ballot EGF."""
-    def stages():
-        one = series.one(cat.order)
-        t = series.monomial(cat.order, 1, e_t=1)
-        bf = cat.ballot_factor_gf
-        ballot_rev = series.t_reverse(cat.ballot_gf)
-        yield _same(series.subst_x_times(ballot_rev, bf)
-                    + series.subst_x_times(cat.ballot_gf, series.t_reverse(bf)),
-                    (one + t) * cat.factor_gf)
-        yield _same(cat.ballot_gf * ballot_rev, one + (one + t) * cat.eulerian_gf)
-    return _report("functional_equation", cat.order - 1, stages())
+    one = series.one(cat.order)
+    t = series.monomial(cat.order, 1, e_t=1)
+    bf = cat.ballot_factor_gf
+    ballot_rev = series.t_reverse(cat.ballot_gf)
+    yield _same(series.subst_x_times(ballot_rev, bf)
+                + series.subst_x_times(cat.ballot_gf, series.t_reverse(bf)),
+                (one + t) * cat.factor_gf)
+    yield _same(cat.ballot_gf * ballot_rev, one + (one + t) * cat.eulerian_gf)
 
 
-def check_ballot_cyclic_factor(cat: SeriesCatalog, n_max_oracle: int) -> CheckReport:
+@_check("ballot_cyclic_factor")
+def check_ballot_cyclic_factor(cat: SeriesCatalog, n_max_oracle: int) -> Iterator[Stage]:
     """The bridge between ballot and odd order counts around the largest
     letter: enumerated tables satisfy b(i,j) + b(j,i) = 2 p(i,j) at every pair
     1 <= i < j <= n-1 (the paper's identity is i = 1), the cyclic factor series
     matches its partition sum, and the combined series identity holds."""
-    order = cat.order - 1
-
-    def stages():
+    for n in range(3, n_max_oracle + 1):
+        bt, pt = oracle.oracle_b_factor(n), oracle.oracle_p_cyclic(n)
         yield _first_mismatch(
             ((n, d, i, j), bt[(d, i, j)] + bt[(d, j, i)], 2 * pt[(d, i, j)])
-            for n in range(3, n_max_oracle + 1)
-            for bt, pt in [(oracle.oracle_b_factor(n), oracle.oracle_p_cyclic(n))]
             for d in range(n) for i in range(1, n - 1) for j in range(i + 1, n))
-        yield _first_mismatch(
-            ((n, d, j), series.extract_factor(cat.cyclic_factor_gf, n, d, j),
-             counts.p_count_partition(n, d, j))
-            for n in range(3, cat.order + 1) for d in range(n) for j in range(2, n))
-        one = series.one(cat.order)
-        t = series.monomial(cat.order, 1, e_t=1)
-        tx2y = series.monomial(cat.order, 1, e_t=1, e_x=2, e_y=1)
-        odd = tx2y * (2 * series.select(cat.first_sym_gf, lambda m: m[1] % 2))
-        yield _same((one + t) * cat.factor_gf,
-                    odd + series.subst_x_times(cat.eulerian_gf, (one + t) * odd))
-    return _report("ballot_cyclic_factor", order, stages())
+    yield _first_mismatch(
+        ((n, d, j), series.extract_factor(cat.cyclic_factor_gf, n, d, j),
+         counts.p_count_partition(n, d, j))
+        for n in range(3, cat.order + 1) for d in range(n) for j in range(2, n))
+    one = series.one(cat.order)
+    t = series.monomial(cat.order, 1, e_t=1)
+    tx2y = series.monomial(cat.order, 1, e_t=1, e_x=2, e_y=1)
+    odd = tx2y * (2 * series.select(cat.first_sym_gf, lambda m: m[1] % 2))
+    yield _same((one + t) * cat.factor_gf,
+                odd + series.subst_x_times(cat.eulerian_gf, (one + t) * odd))
 
 
-def check_neighbor_pair_gf(cat: SeriesCatalog, n_max_oracle: int) -> CheckReport:
+@_check("neighbor_pair_gf")
+def check_neighbor_pair_gf(cat: SeriesCatalog, n_max_oracle: int) -> Iterator[Stage]:
     """The two-neighbor series: pair-weight extraction matches twice the
     enumerated cyclic factor counts, the support respects i < j <= n-1, and
     the enumerated counts are Toeplitz (invariant under shifting both
     neighbors)."""
-    def stages():
-        pair = cat.pair_factor_gf
-        yield _support(pair, lambda m: not 1 <= m[2] < m[3] <= m[1] - 1)
+    pair = cat.pair_factor_gf
+    yield _support(pair, lambda m: not 1 <= m[2] < m[3] <= m[1] - 1)
+    for n in range(3, min(n_max_oracle, pair.order) + 1):
+        table = oracle.oracle_p_cyclic(n)
         yield _first_mismatch(
             ((n, d, i, j), series.extract_quad(pair, n, d, i, j), 2 * table[(d, i, j)])
-            for n in range(3, min(n_max_oracle, pair.order) + 1)
-            for table in [oracle.oracle_p_cyclic(n)]
             for d in range((n - 1) // 2 + 1) for i in range(1, n - 1) for j in range(i + 1, n))
+    for n in range(3, n_max_oracle + 1):
+        table = oracle.oracle_p_cyclic(n)
         yield _first_mismatch(
             ((n, d, i, j), table[(d, i, j)], table[(d, i + 1, j + 1)])
-            for n in range(3, n_max_oracle + 1)
-            for table in [oracle.oracle_p_cyclic(n)]
             for d in range((n - 1) // 2 + 1) for i in range(1, n - 1) for j in range(1, n - 1)
             if i != j)
-    return _report("neighbor_pair_gf", cat.order - 1, stages())
 
 
 def mutate_catalog(cat: SeriesCatalog, name: str) -> SeriesCatalog:
@@ -304,11 +292,10 @@ def read_bfile(path) -> list[tuple[int, int, int, int]]:
     return entries
 
 
-def check_oeis_eulerian(entries: list[tuple[int, int, int, int]]) -> CheckReport:
+@_check("eulerian_oeis", order=lambda entries: max((n for _, n, _, _ in entries), default=0))
+def check_oeis_eulerian(entries: list[tuple[int, int, int, int]]) -> Iterator[Stage]:
     """Compare every read_bfile line with the Eulerian recursion, in file order,
     building only the rows the file names.  The order is the deepest row, 0 for
     a file with no line, which compares nothing and does not pass."""
-    def stages():
-        yield _first_mismatch(((k, n, d), counts.eulerian(n, d), value)
-                              for k, n, d, value in entries)
-    return _report("eulerian_oeis", max((n for _, n, _, _ in entries), default=0), stages())
+    yield _first_mismatch(((k, n, d), counts.eulerian(n, d), value)
+                          for k, n, d, value in entries)

@@ -99,9 +99,11 @@ def test_table_force_ceiling(capsys, tmp_path):
 
 
 def test_table_l_even_n_domain_error(capsys, tmp_path):
-    for n in ("0", "4"):
-        code, _, err = run(capsys, "table", "--stat", "l", "--n", n)
-        assert code == 2 and "odd" in err, n
+    # both routes keep their own check, with one wording
+    for n in ("0", "2", "4"):
+        table, brute = (run(capsys, command, "--stat", "l", "--n", n)
+                        for command in ("table", "oracle"))
+        assert table == brute and table[:2] == (2, "") and "odd" in table[2], n
     # the entries are computed before --out is opened, so an error leaves no file
     target = tmp_path / "P"
     code, out, err = run(capsys, "table", "--stat", "l", "--n", "4", "--out", str(target))

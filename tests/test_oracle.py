@@ -32,33 +32,36 @@ def _accepted(stat: str, n: int) -> bool:
 
 
 def _naive_tables(n: int) -> dict[str, dict]:
-    """Every table by filtering S_n through the permstat predicates, one word at a time."""
+    """Every table by filtering S_n through the permstat predicates, one word
+    at a time: the factor predicates are asked about the two neighbours of n
+    in the word, and in its cycle, which cycle_decompose lists last, from n."""
     out = {stat: {} for stat in TABLES}
 
     def bump(stat, key):
         out[stat][key] = out[stat].get(key, 0) + 1
 
-    pairs = [(i, j) for i in range(1, n) for j in range(1, n) if i != j]
     for w in permutations(range(1, n + 1)):
-        d = descents(w)
+        d, ballot = descents(w), is_ballot(w)
         if n:
             bump("A_first", (d, w[0]))
-        for j in range(2, n):
-            if has_factor_inj(w, 1, j) or has_factor_inj(w, j, 1):
-                bump("E", (d, j))
-        if is_ballot(w):
+        if ballot:
             bump("b", (d,))
-            for i, j in pairs:
-                if has_factor_inj(w, i, j):
-                    bump("b_factor", (d, i, j))
+        k = w.index(n) if n else 0
+        if 0 < k < n - 1 and has_factor_inj(w, w[k - 1], w[k + 1]):
+            i, j = w[k - 1], w[k + 1]
+            if 1 in (i, j):
+                bump("E", (d, i + j - 1))
+            if ballot:
+                bump("b_factor", (d, i, j))
         if is_odd_order(w):
             m = m_statistic(w)
             bump("M", (m,))
-            if len(cycle_decompose(w)) == 1:
+            cycles = cycle_decompose(w)
+            if len(cycles) == 1:
                 bump("l", (m,))
-            for i, j in pairs:
-                if has_cyclic_factor_inj(w, i, j):
-                    bump("p", (m, i, j))
+            cycle = cycles[-1] if n else ()
+            if len(cycle) >= 3 and has_cyclic_factor_inj(w, cycle[-1], cycle[1]):
+                bump("p", (m, cycle[-1], cycle[1]))
     return out
 
 
