@@ -23,14 +23,13 @@ from typing import Callable, Iterable, NamedTuple
 
 from . import counts, oracle, series, verify
 
-MAX_ORDER = 32     # no-force cap of verify and dump --order (verify: 1.0-1.4 s, 45 MB)
+MAX_ORDER = 32     # no-force cap of verify and dump --order (verify: 0.6 s, 38 MB)
 MAX_N = 14         # no-force cap of table --n and of the deepest --oeis-bfile row
 MAX_ORACLE_N = oracle.ENUMERATION_CAP
 # --force lifts the caps up to these ceilings, each near 30 s or below on a
-# 2-vCPU Xeon with Python 3.11: verify --order 40 takes 2-3 s and 84 MB with
-# --n-max-oracle 10, dump --order 44 takes about 3 s and 160 MB, and a b-file
-# with a line in every row up to 600 takes 0.3-0.4 s and 82 MB (each row is
-# built once, from the row below it).
+# 2-vCPU Xeon with Python 3.11: verify --order 40 --n-max-oracle 10 takes
+# 1.4-1.7 s and 69 MB, dump --order 44 1.6 s and 151 MB, and a b-file with a
+# line in every row up to 600 0.3-0.4 s and 82 MB (each row is built once).
 MAX_FORCED_ORDER = {"verify": 40, "dump": 44}
 MAX_FORCED_BFILE_N = 600
 
@@ -54,8 +53,8 @@ class Stat(NamedTuple):
 # A and l stop short of n = 1558, where the counts pass Python's default
 # 4300-digit limit for int-to-str.  The other ceilings keep a request near 30 s
 # or below on a 2-vCPU Xeon with Python 3.11: A_first and U hold triangle row n
-# and the eulerian_first cache of its entries, and take about 13 s and
-# 140 / 170 MB at 400, but 30 s and 320 MB at 500; E at 100 and p at 115, all
+# and the eulerian_first cache of its entries or the U row, and take about 9 s
+# and 136 / 151 MB at 400, but 20 s and 315 MB at 500; E at 100 and p at 115, all
 # d-rows of one n in one pass, take about 5 s and 48 MB and 3 s and 45 MB;
 # b_factor is brute force.
 STATS = {

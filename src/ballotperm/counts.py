@@ -65,12 +65,19 @@ def eulerian(n: int, d: int) -> int:
     return _eulerian_row(n)[d]
 
 
-def u_count(n: int, d: int, j: int) -> int:
-    """Permutations of length n with first letter j and d-1 descents or n-d-1 ascents.
+@lru_cache(maxsize=None)
+def _u_row(n: int) -> list[list[int]]:
+    # row n >= 1 of U, entry [d][j - 1] for d = 0..n; rows[d + 1] = A(n, d, .)
+    rows = [[0] * n] + _first_row(n) + [[0] * n]
+    return [[a + b for a, b in zip(rows[d], rows[n - d])] for d in range(n + 1)]
 
-    Symmetric under d <-> n-d.
-    """
-    return eulerian_first(n, n - d - 1, j) + eulerian_first(n, d - 1, j)
+
+def u_count(n: int, d: int, j: int) -> int:
+    """Permutations of length n with first letter j and d-1 descents or n-d-1
+    ascents, A(n, d-1, j) + A(n, n-d-1, j); symmetric under d <-> n-d."""
+    if n < 1 or not 0 <= d <= n or not 1 <= j <= n:
+        return 0
+    return _u_row(n)[d][j - 1]
 
 
 def _pack(cs, wb: int) -> int:
@@ -163,17 +170,11 @@ def ballot_total(n: int) -> int:
     return double_factorial(n) * double_factorial(n - 2)
 
 
-def _ballot_log_series(order: int) -> MultiSeries:
-    # sum over odd n of l(n, d) t^d x^n / n!: slice n holds l(n, d) itself
-    s = MultiSeries(order)
-    for n in range(1, order + 1, 2):
-        s.slices[n] = {(d, 0, 0): c for d in range((n - 1) // 2 + 1) if (c := l_count(n, d))}
-    return s
-
-
 def ballot_series(order: int) -> MultiSeries:
-    """EGF of ballot permutations refined by descents: exp of the odd-cycle series."""
-    return series.exp_series(_ballot_log_series(order))
+    """EGF of ballot permutations refined by descents: exp of the odd-cycle
+    series, the sum over odd n of l(n, d) t^d x^n / n!."""
+    return series.exp_series(series.egf(order, {
+        (d, n, 0, 0): l_count(n, d) for n in range(1, order + 1, 2) for d in range((n + 1) // 2)}))
 
 
 def ballot_desc_row(n: int) -> tuple[int, ...]:
@@ -316,7 +317,7 @@ def build_catalog(order: int) -> SeriesCatalog:
 
 # taken here, so that clear_caches reaches each cache even while a caller has
 # put a wrapper in place of the module's name
-_CACHED = (eulerian_first, eulerian, _e_rows, _odd_row, _p_rows, build_catalog)
+_CACHED = (eulerian_first, eulerian, _u_row, _e_rows, _odd_row, _p_rows, build_catalog)
 
 
 def clear_caches() -> None:

@@ -2,18 +2,21 @@
 functions whose coefficient at x^n, times n!, is an integer.
 
 A series keeps, for each x-degree n up to its truncation order, one slice: a
-dict {(e_t, e_y, e_z): int} holding n! times the coefficient of
-t^e_t x^n y^e_y z^e_z.  Zeros are never stored, so equal series have equal
-storage.  These series form a ring closed under d/dx and under the geom and
-exp recurrences, so every kernel works on the integer slices as they are: a
-product is a binomial convolution of slices, H_n = sum_k C(n, k) F_k G_(n-k),
-and geom, exp_series, q_of and exp_tm1 are each one online recurrence
+dict {key: int} holding n! times the coefficient of t^e_t x^n y^e_y z^e_z, with
+key = e_t 2^20 + e_y 2^10 + e_z: the key of a product is the sum of the keys,
+and int order is lexicographic.  The order and every exponent lie in [0, 512);
+a sum of keys that passes the limit sets the top bit of a 10-bit field, without
+carrying, and the kernel raises ValueError.  Zeros are never stored, so equal
+series have equal storage.  These series form a ring closed under d/dx and the
+geom and exp recurrences, so every kernel works on the integer slices as they
+are: a product is a binomial convolution of slices, H_n = sum_k C(n, k) F_k
+G_(n-k), and geom, exp_series, q_of and exp_tm1 are each one online recurrence
 (`_recur`).  A product with a composed factor, s * u(x(1+y)) for u free of y
 and z, is one pass by Horner in 1+y (`subst_x_times`).  The constructor takes
-{(e_t, e_x, e_y, e_z): int or Fraction} and refuses any other coefficient, or
-one whose n! multiple is not an integer; extract_* work in integers.  Only
-`.terms` and `coeff`, which give Fractions, and the error of an extraction
-that is not an integer import `fractions`.
+{(e_t, e_x, e_y, e_z): int or Fraction}, refusing any other coefficient or one
+whose n! multiple is not an integer; `egf` takes n! multiples.  Counts come out
+as integers, and only `.terms` and `coeff`, which give Fractions, import
+`fractions`.
 
 Truncation is by the x-degree alone, and arithmetic on two series
 re-truncates to the smaller order.  Series are immutable by convention: no
@@ -21,20 +24,35 @@ operation mutates its inputs, and series may share slices.  Inversion is
 restricted to the geometric sum 1/(1-g) with g free of x-constant terms
 (then g**k dies at k > order), so divisions in closed forms must first be
 rewritten that way; only `geom_yz_lower` divides by 1 - yz, keeping the
-terms with e_y <= e_x.  Negative exponents are never stored; substitutions
-like t -> 1/t are exponent transforms (`t_reverse`, `mirror_y_with_z`).
+terms with e_y <= e_x.  Substitutions like t -> 1/t are exponent transforms
+(`t_reverse`, `mirror_y_with_z`).
 """
 
 from __future__ import annotations
 
-from math import comb, factorial, prod
+from math import comb, factorial
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 Monomial = tuple[int, int, int, int]
-Slice = dict[tuple[int, int, int], int]
+Slice = dict[int, int]
+
+_W = 10                                  # bits per field: one-digit int keys
+EXP_LIMIT = 1 << (_W - 1)
+_FIELD, _Y, _T = (1 << _W) - 1, 1 << _W, 1 << 2 * _W    # a field; the keys of y and t
+_GUARD = EXP_LIMIT * (_T + _Y + 1)
+
+
+def _key(m: Monomial) -> int:     # the slice key of m = (e_t, e_x, e_y, e_z)
+    if not 0 <= min(m) <= max(m) < EXP_LIMIT:
+        raise ValueError(f"exponents of {m} must lie in [0, {EXP_LIMIT})")
+    return m[0] * _T + m[2] * _Y + m[3]
+
+
+def _mono(key: int, n: int) -> Monomial:
+    return key >> 2 * _W, n, key >> _W & _FIELD, key & _FIELD
 
 
 class MultiSeries:
@@ -43,32 +61,32 @@ class MultiSeries:
     __slots__ = ("order", "slices")
 
     def __init__(self, order: int, terms: dict[Monomial, int | Fraction] | None = None):
-        if order < 0:
-            raise ValueError(f"truncation order must be >= 0, got {order}")
+        if not 0 <= order < EXP_LIMIT:
+            raise ValueError(f"truncation order must lie in [0, {EXP_LIMIT}), got {order}")
         self.order = order
         self.slices: list[Slice] = [{} for _ in range(order + 1)]
-        for (a, n, b, c), v in (terms or {}).items():
+        for m, v in (terms or {}).items():
             if not hasattr(v, "denominator"):     # an int or a Fraction; a float has none
-                raise ValueError(f"coefficient {v!r} of {(a, n, b, c)} is not an int or Fraction")
+                raise ValueError(f"coefficient {v!r} of {m} is not an int or Fraction")
+            key, n = _key(m), m[1]
             if n <= order and v:
                 v = v * factorial(n)
                 if v.denominator != 1:
-                    raise ValueError(f"{n}! times the coefficient of {(a, n, b, c)} "
-                                     f"is not an integer ({v})")
-                self.slices[n][(a, b, c)] = v.numerator
+                    raise ValueError(f"{n}! times the coefficient of {m} is not an integer ({v})")
+                self.slices[n][key] = v.numerator
 
     @property
     def terms(self) -> dict[Monomial, Fraction]:
         """{(e_t, e_x, e_y, e_z): Fraction}, built afresh on each access."""
         from fractions import Fraction
-        return {(a, n, b, c): Fraction(v, factorial(n))
-                for n, sl in enumerate(self.slices) for (a, b, c), v in sl.items()}
+        return {_mono(k, n): Fraction(v, factorial(n))
+                for n, sl in enumerate(self.slices) for k, v in sl.items()}
 
     def coeff(self, e_t: int = 0, e_x: int = 0, e_y: int = 0, e_z: int = 0) -> Fraction:
         from fractions import Fraction
-        if not 0 <= e_x <= self.order:
+        if e_x > self.order or not 0 <= min(e_t, e_x, e_y, e_z) <= max(e_t, e_y, e_z) < EXP_LIMIT:
             return Fraction(0)
-        return Fraction(self.slices[e_x].get((e_t, e_y, e_z), 0), factorial(e_x))
+        return Fraction(self.slices[e_x].get(e_t * _T + e_y * _Y + e_z, 0), factorial(e_x))
 
     def truncate(self, order: int) -> "MultiSeries":
         return self if order >= self.order else zero(order) + self
@@ -81,7 +99,7 @@ class MultiSeries:
     __hash__ = None  # mutable dicts inside
 
     def __neg__(self) -> "MultiSeries":
-        return _make(self.order, [_times(sl, -1) for sl in self.slices])
+        return _make(self.order, [{k: -v for k, v in sl.items()} for sl in self.slices])
 
     def __add__(self, other) -> "MultiSeries":
         if not isinstance(other, MultiSeries):
@@ -99,7 +117,7 @@ class MultiSeries:
 
     def __mul__(self, other) -> "MultiSeries":
         if isinstance(other, int):
-            return _make(self.order, [_times(sl, other) for sl in self.slices])
+            return _make(self.order, [{k: v * other for k, v in sl.items()} for sl in self.slices])
         if not isinstance(other, MultiSeries):
             return NotImplemented
         f, g = self.slices, other.slices
@@ -110,7 +128,7 @@ class MultiSeries:
                 if f[k] and g[n - k]:
                     _add_product(acc, comb(n, k), f[k], g[n - k])
             slices.append(acc)
-        return _make(len(slices) - 1, slices)
+        return _make(len(slices) - 1, slices, summed=True)
 
     __rmul__ = __mul__
 
@@ -121,15 +139,14 @@ class MultiSeries:
         return f"MultiSeries(order={self.order}, {{{head}{more}}})"
 
 
-def _make(order: int, slices: list[Slice]) -> MultiSeries:
-    """Wrap integer slices as a series, dropping zeros."""
+def _make(order: int, slices: list[Slice], summed: bool = False) -> MultiSeries:
+    """Wrap integer slices as a series, dropping zeros; a guard bit in summed keys raises."""
     s = MultiSeries.__new__(MultiSeries)
-    s.order, s.slices = order, [{k: v for k, v in sl.items() if v} for sl in slices]
+    s.order, s.slices = order, [sl if all(sl.values()) else {k: v for k, v in sl.items() if v}
+                                for sl in slices]
+    if summed and any(any(map(_GUARD.__and__, sl)) for sl in s.slices):
+        raise ValueError(f"an exponent reached the limit {EXP_LIMIT}")
     return s
-
-
-def _times(sl: Slice, f: int) -> Slice:
-    return {k: v * f for k, v in sl.items()}
 
 
 def _add_product(acc: Slice, scale: int, p: Slice, q: Slice) -> Slice:
@@ -137,10 +154,10 @@ def _add_product(acc: Slice, scale: int, p: Slice, q: Slice) -> Slice:
     if len(p) > len(q):
         p, q = q, p
     get = acc.get
-    for (a1, b1, c1), v1 in p.items():
+    for k1, v1 in p.items():
         v1 *= scale
-        for (a2, b2, c2), v2 in q.items():
-            key = (a1 + a2, b1 + b2, c1 + c2)
+        for k2, v2 in q.items():
+            key = k1 + k2
             acc[key] = get(key, 0) + v1 * v2
     return acc
 
@@ -159,7 +176,7 @@ def _recur(base: MultiSeries, a: MultiSeries, shift: int) -> MultiSeries:
             if As[k] and h[n - k]:
                 _add_product(acc, comb(n - shift, k - shift), As[k], h[n - k])
         h.append({key: v for key, v in acc.items() if v})
-    return _make(order, h)
+    return _make(order, h, summed=True)
 
 
 def zero(order: int) -> MultiSeries:
@@ -172,9 +189,15 @@ def one(order: int) -> MultiSeries:
 
 def monomial(order: int, coeff, e_t: int = 0, e_x: int = 0,
              e_y: int = 0, e_z: int = 0) -> MultiSeries:
-    if min(e_t, e_x, e_y, e_z) < 0:
-        raise ValueError("exponents must be nonnegative")
     return MultiSeries(order, {(e_t, e_x, e_y, e_z): coeff})
+
+
+def egf(order: int, counts: dict[Monomial, int]) -> MultiSeries:
+    """The series whose coefficient at m = (e_t, n, e_y, e_z), n <= order, is counts[m] / n!."""
+    s = MultiSeries(order)
+    for m, c in counts.items():
+        s.slices[m[1]][_key(m)] = c
+    return _make(order, s.slices)
 
 
 def _require_no_x_constant(s: MultiSeries, what: str) -> None:
@@ -221,7 +244,7 @@ def subst_x_times(u: MultiSeries, s: MultiSeries) -> MultiSeries:
     for m from n down to 0: each step multiplies the running sum by 1+y, one
     shifted add, then adds C(n, m) s_(n-m) u_m, where u_m is a polynomial in t.
     """
-    if any(b or c for sl in u.slices for _, b, c in sl):
+    if any(k % _T for sl in u.slices for k in sl):
         raise ValueError("the composed series must be free of y and z")
     order = min(u.order, s.order)
     slices = []
@@ -230,13 +253,13 @@ def subst_x_times(u: MultiSeries, s: MultiSeries) -> MultiSeries:
         for m in range(n, -1, -1):
             if acc:
                 shifted = dict(acc)
-                for (a, b, c), v in acc.items():
-                    shifted[a, b + 1, c] = shifted.get((a, b + 1, c), 0) + v
+                for k, v in acc.items():
+                    shifted[k + _Y] = shifted.get(k + _Y, 0) + v
                 acc = shifted
             if s.slices[n - m] and u.slices[m]:
                 _add_product(acc, comb(n, m), s.slices[n - m], u.slices[m])
         slices.append(acc)
-    return _make(order, slices)
+    return _make(order, slices, summed=True)
 
 
 def geom_yz_lower(s: MultiSeries) -> MultiSeries:
@@ -245,11 +268,11 @@ def geom_yz_lower(s: MultiSeries) -> MultiSeries:
     slices = []
     for n, sl in enumerate(s.slices):
         acc: Slice = {}
-        for (a, b, c), v in sl.items():
-            for k in range(n - b + 1):
-                acc[(a, b + k, c + k)] = acc.get((a, b + k, c + k), 0) + v
+        for k, v in sl.items():
+            for key in range(k, k + (n + 1 - (k >> _W & _FIELD)) * (_Y + 1), _Y + 1):
+                acc[key] = acc.get(key, 0) + v
         slices.append(acc)
-    return _make(s.order, slices)
+    return _make(s.order, slices, summed=True)
 
 
 def map_exponents(s: MultiSeries, fn: Callable[[Monomial], Monomial]) -> MultiSeries:
@@ -258,12 +281,10 @@ def map_exponents(s: MultiSeries, fn: Callable[[Monomial], Monomial]) -> MultiSe
     slices = []
     for n, sl in enumerate(s.slices):
         acc: Slice = {}
-        for (a, b, c), v in sl.items():
-            new = fn((a, n, b, c))
-            if min(new) < 0 or new[1] != n:
-                raise ValueError("exponent transform must keep e_x and give nonnegative "
-                                 f"exponents: {(a, n, b, c)} -> {new}")
-            key = (new[0], new[2], new[3])
+        for k, v in sl.items():
+            key = _key(new := fn(_mono(k, n)))
+            if new[1] != n:
+                raise ValueError(f"exponent transform must keep e_x: {_mono(k, n)} -> {new}")
             acc[key] = acc.get(key, 0) + v
         slices.append(acc)
     return _make(s.order, slices)
@@ -271,7 +292,7 @@ def map_exponents(s: MultiSeries, fn: Callable[[Monomial], Monomial]) -> MultiSe
 
 def select(s: MultiSeries, pred: Callable[[Monomial], bool]) -> MultiSeries:
     """Keep only the monomials satisfying pred."""
-    return _make(s.order, [{k: v for k, v in sl.items() if pred((k[0], n, k[1], k[2]))}
+    return _make(s.order, [{k: v for k, v in sl.items() if pred(_mono(k, n))}
                            for n, sl in enumerate(s.slices)])
 
 
@@ -297,7 +318,7 @@ def mirror_y_with_z(s: MultiSeries) -> MultiSeries:
 
 def y_to_z(s: MultiSeries) -> MultiSeries:
     """Rename the variable y to z; the input must be z-free."""
-    if any(m for sl in s.slices for _, _, m in sl):
+    if any(k & _FIELD for sl in s.slices for k in sl):
         raise ValueError("y -> z rename needs a z-free series")
     return map_exponents(s, lambda m: (m[0], m[1], 0, m[2]))
 
@@ -310,55 +331,56 @@ def d_dx(s: MultiSeries) -> MultiSeries:
 
 def d_dy(s: MultiSeries) -> MultiSeries:
     """Formal partial derivative in y."""
-    return _make(s.order, [{(d, b - 1, c): v * b for (d, b, c), v in sl.items() if b}
+    return _make(s.order, [{k - _Y: v * b for k, v in sl.items() if (b := k >> _W & _FIELD)}
                            for sl in s.slices])
 
 
-def _count(s: MultiSeries, n: int, key: tuple[int, int, int], weight: tuple[int, ...],
-           what: str) -> int:
-    """The coefficient at x^n and key times the factorials in weight, an integer."""
+def _counts(s: MultiSeries, n: int, ds, cols: list[tuple[int, int, int]]) -> list[list[int]]:
+    """Rows d in ds of the counts at t^d x^n y^b z^c, (b, c, weight) in cols, weight | n!."""
     if n > s.order:
         raise ValueError(f"n = {n} is beyond the truncation order {s.order}")
-    scale = factorial(n)
-    value = s.slices[n].get(key, 0) * prod(map(factorial, weight))
-    if value % scale:
-        from fractions import Fraction
-        raise ValueError(f"{what} is not an integer ({Fraction(value, scale)}); "
-                         "series data is corrupt")
-    return value // scale
+    sl, scale = s.slices[n], factorial(n)
+    cols = [(b * _Y + c, scale // w) for b, c, w in cols]
+    rows = [[divmod(sl.get(d * _T + key, 0), m) for key, m in cols] for d in ds]
+    if any(r for row in rows for _, r in row):
+        raise ValueError(f"a count at x^{n} is not an integer; series data is corrupt")
+    return [[q for q, _ in row] for row in rows]
+
+
+def letter_counts(s: MultiSeries, n: int, ds, js, lo: int) -> list[list[int]]:
+    """Rows d in ds of the counts at t^d x^n y^j, j in js, under the weight (j-lo)! (n+1-lo-j)!:
+    the first-letter weight at lo = 1 and the factor weight at lo = 2."""
+    if not all(lo <= j <= n + 1 - lo for j in js):
+        raise ValueError(f"the weight needs {lo} <= j <= {n + 1 - lo} at n = {n}, got j in {js}")
+    return _counts(s, n, ds, [(j, 0, factorial(j - lo) * factorial(n + 1 - lo - j)) for j in js])
 
 
 def extract_egf(s: MultiSeries, n: int, d: int) -> int:
     """Count at t^d x^n under the exponential weight n!."""
-    return _count(s, n, (d, 0, 0), (n,), f"count at (n={n}, d={d})")
+    return _counts(s, n, [d], [(0, 0, factorial(n))])[0][0]
 
 
 def extract_first(s: MultiSeries, n: int, d: int, j: int) -> int:
     """Count at t^d x^n y^j under the first-letter weight (j-1)! (n-j)!."""
-    if not 1 <= j <= n:
-        raise ValueError(f"first-letter weight needs 1 <= j <= n, got j={j}, n={n}")
-    return _count(s, n, (d, j, 0), (j - 1, n - j), f"count at (n={n}, d={d}, j={j})")
+    return letter_counts(s, n, [d], [j], 1)[0][0]
 
 
 def extract_factor(s: MultiSeries, n: int, d: int, j: int) -> int:
     """Count at t^d x^n y^j under the factor weight (j-2)! (n-j-1)!."""
-    if not 2 <= j <= n - 1:
-        raise ValueError(f"factor weight needs 2 <= j <= n-1, got j={j}, n={n}")
-    return _count(s, n, (d, j, 0), (j - 2, n - j - 1), f"count at (n={n}, d={d}, j={j})")
+    return letter_counts(s, n, [d], [j], 2)[0][0]
 
 
 def extract_quad(s: MultiSeries, n: int, d: int, i: int, j: int) -> int:
     """Count at t^d x^n y^i z^j under the pair weight (j-i-1)! (n-j+i-2)!."""
     if not 1 <= i < j <= n - 1:
         raise ValueError(f"pair weight needs 1 <= i < j <= n-1, got i={i}, j={j}, n={n}")
-    return _count(s, n, (d, i, j), (j - i - 1, n - j + i - 2),
-                  f"count at (n={n}, d={d}, i={i}, j={j})")
+    return _counts(s, n, [d], [(i, j, factorial(j - i - 1) * factorial(n - j + i - 2))])[0][0]
 
 
 def first_difference(a: MultiSeries, b: MultiSeries):
     """Lexicographically smallest monomial where a and b differ, up to the
     common truncation order; None when they agree."""
-    diffs = [(k[0], n, k[1], k[2]) for n, (p, q) in enumerate(zip(a.slices, b.slices))
+    diffs = [_mono(k, n) for n, (p, q) in enumerate(zip(a.slices, b.slices))
              if p != q for k in p.keys() | q.keys() if p.get(k, 0) != q.get(k, 0)]
     m = min(diffs, default=None)
     return None if m is None else (m, a.coeff(*m), b.coeff(*m))

@@ -2,19 +2,20 @@
 routes, coefficient by coefficient, in exact integer arithmetic.
 
 A check is a generator of its stages, each comparing two routes: the rows of an
-index grid in lexicographic order, two whole series, or the support of one
-series.  A brute-force stage fetches its oracle table when the check reaches
-it.  The one decorator `_check` runs the stages: the first discrepancy ends the
-check, and its CheckReport carries the smallest discrepant index with both
-values and `compared`, the number of entries compared: grid rows up to the
-discrepancy, and the monomials stored in the series.  A check that compared
-nothing does not pass.  All comparisons are exact equality, never tolerances.
-A check that reads series takes the catalog it certifies, built one order above
-its reporting order, and reports at cat.order - 1, so that identities involving
-formal derivatives are exact at the reported order.  The grids that hold a
-series against a recursion or a partition sum take no derivative and run to
-cat.order, so they compare the x^(order+1) slice as well; the other series are
-held there by identities at the full catalog order.
+index grid in lexicographic order (a series grid one x-slice at a time), two
+whole series, or the support of one series.  A brute-force stage fetches its
+oracle table when the check reaches it.  The one decorator `_check` runs the
+stages: the first discrepancy ends the check, and its CheckReport carries the
+smallest discrepant index with both values and `compared`, the number of
+entries compared: grid rows up to the discrepancy, and the monomials stored in
+the series.  A check that compared nothing does not pass.  All comparisons are
+exact equality, never tolerances.  A check that reads series takes the catalog
+it certifies, built one order above its reporting order, and reports at
+cat.order - 1, so that identities involving formal derivatives are exact at the
+reported order.  The grids that hold a series against a recursion or a
+partition sum take no derivative and run to cat.order, so they compare the
+x^(order+1) slice as well; the other series are held there by identities at the
+full catalog order.
 
 Not certified: the coefficients of `pair_factor_gf` with x-degree above
 `n_max_oracle`, its x^(order+1) slice included, which are checked only for
@@ -63,6 +64,16 @@ def _first_mismatch(rows: Iterable[tuple[tuple, object, object]]) -> Stage:
         if got != want:
             return (index, got, want), compared
     return None, compared
+
+
+def _grid(s: MultiSeries, n: int, d_rows: int, lo: int, want: Iterable) -> Stage:
+    """Slice n of a count grid, the letter_counts of s at d < d_rows, lo <= j <= n+1-lo,
+    against the rows of want: one list equality, or the mismatch located in the slice."""
+    got = series.letter_counts(s, n, range(d_rows), range(lo, n + 2 - lo), lo)
+    if got == (want := list(map(list, want))):
+        return None, sum(map(len, got))
+    return _first_mismatch(((n, d, j), a, b) for d, (r, w) in enumerate(zip(got, want, strict=True))
+                           for j, (a, b) in enumerate(zip(r, w, strict=True), lo))
 
 
 def _same(a: MultiSeries, b: MultiSeries) -> Stage:
@@ -124,9 +135,7 @@ def check_first_letter_gf(cat: SeriesCatalog) -> Iterator[Stage]:
     collapses to the plain Eulerian series, and that series equals the
     Eulerian recursion."""
     first = cat.first_letter_gf
-    yield _first_mismatch(
-        ((n, d, j), series.extract_first(first, n, d, j), counts.eulerian_first(n, d, j))
-        for n in range(1, cat.order + 1) for d in range(n) for j in range(1, n + 1))
+    yield from (_grid(first, n, n, 1, counts._first_row(n)) for n in range(1, cat.order + 1))
 
     # y dA/dy - A = xy dA/dx - y^2 dA/dy + t xy A - xy A, exact one order
     # below the catalog order because d/dx consumes a slice
@@ -155,9 +164,7 @@ def check_symmetrized_first(cat: SeriesCatalog) -> Iterator[Stage]:
     Eulerian formula, and the low-descent odd part together with its
     t-reversal reconstructs the odd-x slice."""
     sym, low = cat.first_sym_gf, cat.first_sym_odd_gf
-    yield _first_mismatch(
-        ((n, d, j), series.extract_first(sym, n, d, j), counts.u_count(n, d, j))
-        for n in range(1, cat.order + 1) for d in range(n + 1) for j in range(1, n + 1))
+    yield from (_grid(sym, n, n + 1, 1, counts._u_row(n)) for n in range(1, cat.order + 1))
     yield _same(low + series.t_reverse(low), series.select(sym, lambda m: m[1] % 2))
     yield _support(low, lambda m: m[1] % 2 == 0 or 2 * m[0] > m[1] - 1)
 
@@ -167,9 +174,7 @@ def check_factor_counts(cat: SeriesCatalog, n_max_oracle: int) -> Iterator[Stage
     """Permutations with a factor 1nj or jn1: closed form, block recursion and
     enumeration agree entrywise, enumeration for n <= min(order, n_max_oracle)."""
     factor = cat.factor_gf
-    yield _first_mismatch(
-        ((n, d, j), series.extract_factor(factor, n, d, j), counts.e_count_rec(n, d, j))
-        for n in range(3, cat.order + 1) for d in range(n) for j in range(2, n))
+    yield from (_grid(factor, n, n, 2, zip(*counts._e_rows(n))) for n in range(3, cat.order + 1))
     yield _support(factor, lambda m: not 2 <= m[2] <= m[1] - 1)
     for n in range(3, min(cat.order - 1, n_max_oracle) + 1):
         table = oracle.oracle_E(n)
@@ -202,10 +207,8 @@ def check_ballot_cyclic_factor(cat: SeriesCatalog, n_max_oracle: int) -> Iterato
         yield _first_mismatch(
             ((n, d, i, j), bt[(d, i, j)] + bt[(d, j, i)], 2 * pt[(d, i, j)])
             for d in range(n) for i in range(1, n - 1) for j in range(i + 1, n))
-    yield _first_mismatch(
-        ((n, d, j), series.extract_factor(cat.cyclic_factor_gf, n, d, j),
-         counts.p_count_partition(n, d, j))
-        for n in range(3, cat.order + 1) for d in range(n) for j in range(2, n))
+    yield from (_grid(cat.cyclic_factor_gf, n, n, 2, zip(*counts._p_rows(n)))
+                for n in range(3, cat.order + 1))
     one = series.one(cat.order)
     t = series.monomial(cat.order, 1, e_t=1)
     tx2y = series.monomial(cat.order, 1, e_t=1, e_x=2, e_y=1)

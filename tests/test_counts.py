@@ -400,11 +400,13 @@ def test_catalog_compositions_match_bivariate_forms(order):
 
 def test_catalog_dumps_match_golden_hashes():
     # sha256 of series.dump for every catalog series, pinned at orders 6, 10
-    # and 15 from the Fraction-coefficient implementation and at order 25 from
-    # the bivariate-kernel build: the catalog must stay bit-identical under any
-    # change of the series kernels or of the algebra that assembles it
+    # and 15 from the Fraction-coefficient implementation, at order 25 from
+    # the bivariate-kernel build and at order 33, the catalog of verify at the
+    # no-force cap, from the tuple-keyed slices: the catalog must stay
+    # bit-identical under any change of the series kernels or of the algebra
+    # that assembles it
     golden = json.loads(GOLDEN.read_text())
-    assert sorted(golden) == ["10", "15", "25", "6"]
+    assert sorted(golden) == ["10", "15", "25", "33", "6"]
     for order, digests in golden.items():
         cat = build_catalog.__wrapped__(int(order))
         assert sorted(digests) == sorted(counts.CATALOG_SERIES)

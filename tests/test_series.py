@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ballotperm import series
-from ballotperm.series import (MultiSeries, d_dx, d_dy, dump, exp_series,
+from ballotperm.series import (EXP_LIMIT, MultiSeries, d_dx, d_dy, dump, exp_series,
                                exp_tm1, extract_egf, extract_factor,
                                extract_first, extract_quad, first_difference,
                                geom, geom_yz_lower, map_exponents, mirror_y_with_z,
@@ -427,3 +427,113 @@ def test_kernels_reject_x_constant_part(terms):
     for kernel in (geom, exp_series, q_of, exp_tm1):
         with pytest.raises(ValueError):
             kernel(s)
+
+
+def test_constructor_refuses_exponents_out_of_range():
+    # a stored t^-1 would make t^-1 * t x read t^0 x^2; every exponent, e_x
+    # included, and the truncation order lie in [0, EXP_LIMIT)
+    for m in [(-1, 1, 0, 0), (0, -1, 0, 0), (0, 1, -2, 0), (0, 1, 0, -1),
+              (EXP_LIMIT, 1, 0, 0), (0, 1, EXP_LIMIT, 0), (0, 1, 0, EXP_LIMIT)]:
+        with pytest.raises(ValueError, match="must lie in"):
+            MultiSeries(3, {m: 1})
+    with pytest.raises(ValueError):
+        monomial(3, 1, e_z=-1)
+    with pytest.raises(ValueError):
+        MultiSeries(EXP_LIMIT)
+    top = EXP_LIMIT - 1
+    assert MultiSeries(3, {(top, 1, top, top): 2}).terms == {(top, 1, top, top): 2}
+    assert MultiSeries(top).order == top
+
+
+def _power_of(field, e, e_x=1, order=4):
+    """x^e_x times the variable of `field` (0 for t, 2 for y, 3 for z) to the e."""
+    exps = [0, e_x, 0, 0]
+    exps[field] = e
+    return monomial(order, 1, *exps)
+
+
+@pytest.mark.parametrize("field", [0, 2, 3])
+def test_sums_of_keys_reaching_the_field_limit_raise(field):
+    # one field at a time, so that a carry into the next field would show
+    half = EXP_LIMIT // 2
+    top = [0, 2, 0, 0]
+    top[field] = EXP_LIMIT - 1
+    assert (_power_of(field, half) * _power_of(field, half - 1)).terms == {tuple(top): 1}
+    with pytest.raises(ValueError, match="limit"):
+        _power_of(field, half) * _power_of(field, half)
+    with pytest.raises(ValueError, match="limit"):
+        geom(_power_of(field, half))    # t^(2 half) at x^2, by the recurrence
+    assert geom(_power_of(field, (EXP_LIMIT - 1) // 4)).order == 4     # up to x^4
+
+
+def test_shifts_reaching_the_field_limit_raise():
+    x = x_(4)
+    # s * u(x(1+y)): the Horner step in 1+y shifts every key by y
+    assert subst_x_times(x, _power_of(2, EXP_LIMIT - 2, 0)).coeff(0, 1, EXP_LIMIT - 1) == 1
+    with pytest.raises(ValueError, match="limit"):
+        subst_x_times(x, _power_of(2, EXP_LIMIT - 1, 0))
+    # s / (1 - yz) below the diagonal adds yz up to e_x times
+    assert geom_yz_lower(_power_of(3, EXP_LIMIT - 3, 2)).coeff(0, 2, 2, EXP_LIMIT - 1) == 1
+    with pytest.raises(ValueError, match="limit"):
+        geom_yz_lower(_power_of(3, EXP_LIMIT - 2, 2))
+    # an exponent transform is checked as it builds each key
+    with pytest.raises(ValueError, match="must lie in"):
+        mirror_y_with_z(_power_of(3, EXP_LIMIT - 2, 2))
+
+
+def ref_transform(terms, fn):
+    """{fn(m): coefficient}, summed, or None when fn gives a negative exponent."""
+    out = {}
+    for m, c in terms.items():
+        new = fn(m)
+        if min(new) < 0:
+            return None
+        out[new] = out.get(new, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def permute_tyz(m):
+    return (m[3], m[1], m[0], m[2])
+
+
+def parity_pred(m):
+    return (m[0] + m[2]) % 2 == m[3] % 2
+
+
+@given(hurwitz_terms())
+def test_edge_decoders_match_naive_references(terms):
+    # each transform against the same map applied to .terms; a transform that
+    # would need a negative exponent must raise
+    s = MultiSeries(ORDER, terms)
+    z_free = all(m[3] == 0 for m in terms)
+    cases = [
+        (t_reverse, lambda m: (m[1] - m[0], m[1], m[2], m[3])),
+        (mirror_y_with_z, lambda m: (m[0], m[1], m[1] - m[2], m[3] + m[1])),
+        (lambda s: map_exponents(s, permute_tyz), permute_tyz),
+        (y_to_z, lambda m: (m[0], m[1], 0, m[2]) if z_free else (-1, 0, 0, 0)),
+    ]
+    for kernel, fn in cases:
+        want = ref_transform(terms, fn)
+        if want is None:
+            with pytest.raises(ValueError):
+                kernel(s)
+        else:
+            got = kernel(s)
+            assert got.terms == want and canonical(got)
+    dy = {(a, n, b - 1, c): v * b for (a, n, b, c), v in terms.items() if b}
+    assert d_dy(s).terms == dy and canonical(d_dy(s))
+    kept = select(s, parity_pred)
+    assert kept.terms == {m: c for m, c in terms.items() if parity_pred(m)} and canonical(kept)
+
+
+@given(hurwitz_terms(), hurwitz_terms(), st.integers(0, ORDER), st.booleans())
+def test_first_difference_matches_naive_reference(a_terms, b_terms, b_order, overlap):
+    if overlap:     # mostly equal series, so that the difference is late
+        b_terms = {**a_terms, **dict(list(b_terms.items())[:1])}
+    a, b = MultiSeries(ORDER, a_terms), MultiSeries(b_order, b_terms)
+    common = min(a.order, b.order)
+    diffs = sorted(m for m in a.terms.keys() | b.terms.keys()
+                   if m[1] <= common and a.coeff(*m) != b.coeff(*m))
+    want = (diffs[0], a.coeff(*diffs[0]), b.coeff(*diffs[0])) if diffs else None
+    assert first_difference(a, b) == want
+    assert first_difference(a, a) is None

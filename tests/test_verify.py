@@ -183,22 +183,25 @@ def test_a_failing_stage_skips_the_later_stages(monkeypatch):
 
 
 def test_recursion_mutation_is_caught():
+    # the first-letter grid reads whole triangle rows; bump A(4, 1, 2) in the
+    # row it reads
     counts.clear_caches()
-    real = counts.eulerian_first
+    real = counts._first_row
 
-    def warped(n, d, j):
-        if (n, d, j) == (4, 1, 2):
-            return real(n, d, j) + 1
-        return real(n, d, j)
+    def warped(n):
+        rows = [list(row) for row in real(n)]
+        if n == 4:
+            rows[1][1] += 1
+        return rows
 
     # patch by hand: everything memoized downstream must be dropped afterwards
     try:
-        counts.eulerian_first = warped
+        counts._first_row = warped
         report = verify.check_first_letter_gf(counts.build_catalog(6))
         assert not report.passed
         assert report.first_discrepancy[0] == (4, 1, 2)
     finally:
-        counts.eulerian_first = real
+        counts._first_row = real
         counts.clear_caches()
 
 
