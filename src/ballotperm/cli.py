@@ -19,7 +19,7 @@ import contextlib
 import functools
 import json
 import sys
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import counts, oracle, series, verify
 
@@ -50,29 +50,26 @@ class Stat(NamedTuple):
     oracle: str | None
 
 
+def _keyed(rows, lo: int | None = None) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(key, count) in key order: (d,) for row[d] of one row, (d, j) for rows[d][j - lo]."""
+    if lo is None:
+        return (((d,), v) for d, v in enumerate(rows))
+    return (((d, j), v) for d, row in enumerate(rows) for j, v in enumerate(row, lo))
+
+
 # A and l stop short of n = 1558, where the counts pass Python's default
 # 4300-digit limit for int-to-str.  The other ceilings keep a request near 30 s
-# or below on a 2-vCPU Xeon with Python 3.11: A_first and U hold triangle row n
-# and the eulerian_first cache of its entries or the U row, and take about 9 s
-# and 136 / 151 MB at 400, but 20 s and 315 MB at 500; E at 100 and p at 115, all
-# d-rows of one n in one pass, take about 5 s and 48 MB and 3 s and 45 MB;
-# b_factor is brute force.
+# or below on a 2-vCPU Xeon with Python 3.11: A_first and U hold triangle row n,
+# and U its own row, about 7 s and 129 / 151 MB at 400; E at 100 and p at 115
+# take about 3 s and 44 MB and 2 s and 40 MB; b_factor is brute force.
 STATS = {
-    "A": Stat(lambda n: (((d,), counts.eulerian(n, d)) for d in range(max(1, n))),
-              1500, None),
-    "A_first": Stat(lambda n: (((d, j), counts.eulerian_first(n, d, j))
-                               for d in range(n) for j in range(1, n + 1)),
-                    400, "oracle_eulerian_first"),
-    "U": Stat(lambda n: (((d, j), counts.u_count(n, d, j))
-                         for d in range(n + 1) for j in range(1, n + 1)), 400, None),
-    "E": Stat(lambda n: (((d, j), counts.e_count_rec(n, d, j))
-                         for d in range(n) for j in range(2, n)), 100, "oracle_E"),
-    "b": Stat(lambda n: (((d,), v) for d, v in enumerate(counts.ballot_desc_row(n))),
-              250, "oracle_ballot_desc"),
-    "l": Stat(lambda n: (((d,), counts.l_count(n, d)) for d in range(n // 2 + 1)),
-              1500, "oracle_l"),
-    "p": Stat(lambda n: (((d, j), counts.p_count_partition(n, d, j))
-                         for d in range(n) for j in range(2, n)), 115, "oracle_p_cyclic"),
+    "A": Stat(lambda n: _keyed(counts._eulerian_row(n)), 1500, None),
+    "A_first": Stat(lambda n: _keyed(counts._first_row(n), 1), 400, "oracle_eulerian_first"),
+    "U": Stat(lambda n: _keyed(counts._u_row(n), 1), 400, None),
+    "E": Stat(lambda n: _keyed(counts._e_rows(n), 2), 100, "oracle_E"),
+    "b": Stat(lambda n: _keyed(counts.ballot_desc_row(n)), 250, "oracle_ballot_desc"),
+    "l": Stat(lambda n: _keyed(counts._l_row(n)), 1500, "oracle_l"),
+    "p": Stat(lambda n: _keyed(counts._p_rows(n), 2), 115, "oracle_p_cyclic"),
     "b_factor": Stat(lambda n: sorted(oracle.oracle_b_factor(n).items()), MAX_ORACLE_N,
                      "oracle_b_factor"),
     "M": Stat(None, MAX_ORACLE_N, "oracle_odd_order_M"),

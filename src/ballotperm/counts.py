@@ -5,6 +5,10 @@ routes: the memoized recursions and partition sums in this module, exhaustive
 enumeration (`oracle`), and coefficient extraction from the closed forms
 assembled by `build_catalog`.  The verification suite (`verify`) holds the
 routes against each other with exact integer arithmetic.
+
+A count table of one n >= 0 is d-major: rows[d][j - lo], j from the table's
+lowest letter lo, zeros included, or one row by d.  The per-entry lookups
+index it and count zero off it.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from itertools import accumulate, repeat
 from math import comb, factorial, prod
-from operator import mul
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from . import series
@@ -34,18 +38,18 @@ def _grown_row(memo: dict, n: int, base, step):
 
 
 def _first_row(n: int) -> list[list[int]]:
-    """Row n >= 1 of the first-letter triangle.  The second letter i of the
-    standardized tail lies below j (a descent) or not, so A(m, d, j) = sum_{i<j}
+    """Row n of the first-letter triangle, [] for n < 1 (never stored).  The second letter
+    i of the standardized tail lies below j (a descent) or not, so A(m, d, j) = sum_{i<j}
     A(m-1, d-1, i) + sum_{i>=j} A(m-1, d, i): a running sum over j from sum_i A(m-1, d, i)."""
-    return _grown_row(_FIRST_ROWS, n, [[1]], lambda row, m: [
+    return [] if n < 1 else _grown_row(_FIRST_ROWS, n, [[1]], lambda row, m: [
         list(accumulate([sum(hi)] + [a - b for a, b in zip(lo, hi)]))
         for lo, hi in zip([[0] * (m - 1)] + row, row + [[0] * (m - 1)])])
 
 
+# kept only because perfbench's child.counters() reads its cache_info(); ROADMAP item 2 drops it
 @lru_cache(maxsize=None)
 def eulerian_first(n: int, d: int, j: int) -> int:
-    """Permutations of length n with d descents and first letter j; indices
-    out of range count zero permutations."""
+    """Permutations of length n with d descents and first letter j; 0 off the table."""
     if n < 1 or not 0 <= d <= n - 1 or not 1 <= j <= n:
         return 0
     return _first_row(n)[d][j - 1]
@@ -57,6 +61,7 @@ def _eulerian_row(n: int) -> tuple[int, ...]:
         (d + 1) * b + (m - d) * a for d, (a, b) in enumerate(zip((0,) + row, row + (0,)))))
 
 
+# kept only because perfbench's child.counters() reads its cache_info(); ROADMAP item 2 drops it
 @lru_cache(maxsize=None)
 def eulerian(n: int, d: int) -> int:
     """Eulerian number: permutations of length n with d descents; eulerian(0, 0) = 1."""
@@ -67,7 +72,7 @@ def eulerian(n: int, d: int) -> int:
 
 @lru_cache(maxsize=None)
 def _u_row(n: int) -> list[list[int]]:
-    # row n >= 1 of U, entry [d][j - 1] for d = 0..n; rows[d + 1] = A(n, d, .)
+    # row n of U, entry [d][j - 1] for d = 0..n; rows[d + 1] = A(n, d, .)
     rows = [[0] * n] + _first_row(n) + [[0] * n]
     return [[a + b for a, b in zip(rows[d], rows[n - d])] for d in range(n + 1)]
 
@@ -91,14 +96,14 @@ def _unpack(packed: int, wb: int, count: int) -> list[int]:
 
 
 def _factor_rows(n: int, rest, odd: bool) -> list[list[int]]:
-    """Entry j - 2, j = 2..n-1, is the d-row sum_l W_l[k] rest(n-l-2)[d-k-1]
-    of the factor sums before E's boundary terms, over odd l and 2k < l only
-    if `odd`.  The length-l piece next to n on j's side has u letters below j:
-    W_l[k] = sum_u C(j-2, u) C(n-j-1, l-1-u) U(l, k, u+1), with U(l, k, i) =
-    A(l, k-1, i) + A(l, l-1-k, i).  A polynomial in d is one int of wb-byte
-    fields, wide enough because every field of every intermediate is a count
-    below 2 n!: rest(m)[0] = 1 puts each W_l[k] below a field of the final
-    row, which is at most E + A(n-2) < 2 n!."""
+    """The d-major rows, [d][j - 2] for j = 2..n-1, of the factor sums
+    sum_l W_l[k] rest(n-l-2)[d-k-1] before E's boundary terms, over odd l and
+    2k < l only if `odd`.  The length-l piece next to n on j's side has u
+    letters below j: W_l[k] = sum_u C(j-2, u) C(n-j-1, l-1-u) U(l, k, u+1),
+    with U(l, k, i) = A(l, k-1, i) + A(l, l-1-k, i).  A polynomial in d is one
+    int of wb-byte fields, wide enough because every field of every
+    intermediate is a count below 2 n!: rest(m)[0] = 1 puts each W_l[k] below
+    a field of the final row, which is at most E + A(n-2) < 2 n!."""
     wb = (2 * factorial(n)).bit_length() // 8 + 1     # at least one spare bit
     acc = [0] * (n - 2)
     for l in range(1, n - 1, 1 + odd):
@@ -110,17 +115,17 @@ def _factor_rows(n: int, rest, odd: bool) -> list[list[int]]:
             lo, hi = max(0, l + j - n), min(j - 1, l)
             splits = [comb(j - 2, u) * comb(n - j - 1, l - 1 - u) for u in range(lo, hi)]
             acc[j - 2] += (sum(map(mul, splits, cols[lo:hi])) & mask) * q
-    return [_unpack(x, wb, n) for x in acc]
+    by_j = [_unpack(x, wb, n) for x in acc]
+    return [[row[d] for row in by_j] for d in range(n)]
 
 
 @lru_cache(maxsize=None)
 def _e_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    # the boundary terms of e_count_rec, from column j-1 of first-letter row n-2
+    """The d-major rows of E: _factor_rows and e_count_rec's boundary terms."""
     rows = _factor_rows(n, _eulerian_row, False)
     for d, r in enumerate(_first_row(n - 2)):
-        for row, a in zip(rows, r):
-            row[d + 1] += a
-            row[d + 2] -= a
+        rows[d + 1] = list(map(add, rows[d + 1], r))
+        rows[d + 2] = list(map(sub, rows[d + 2], r))
     return tuple(map(tuple, rows))
 
 
@@ -132,28 +137,26 @@ def e_count_rec(n: int, d: int, j: int) -> int:
     letter set (the weights W_l of _factor_rows), while the other piece is a
     plain descent count.  Two boundary terms handle the word starting with 1nj
     and cancel the double count:  E(n, d, j) = sum W_l[k] A(n-l-2, d-k-1) +
-    A(n-2, d-1, j-1) - A(n-2, d-2, j-1).  All d-rows of one n are built at once
-    and cached; indices off the grid 2 <= j <= n-1, 0 <= d <= n-1 count zero.
+    A(n-2, d-1, j-1) - A(n-2, d-2, j-1), read from the rows of _e_rows(n).
     """
     if not 2 <= j <= n - 1 or not 0 <= d <= n - 1:
         return 0
-    return _e_rows(n)[j - 2][d]
+    return _e_rows(n)[d][j - 2]
+
+
+def _l_row(n: int) -> tuple[int, ...]:
+    """Entry d, 2d <= n - 1, counts the full n-cycles on [n] with M = d, n odd.
+    For n > 1 it is twice A(n-1, d-1): dropping n from the cycle word leaves
+    d-1 or n-d-1 descents, two disjoint cases for odd n.  All 0 for n < 1."""
+    if n % 2 == 0:
+        raise ValueError(f"cycle length must be odd, got {n}")
+    return (int(n == 1),) + tuple(2 * a for a in _eulerian_row(n - 1)[:n // 2])
 
 
 def l_count(n: int, d: int) -> int:
-    """Full n-cycles on [n] whose M statistic is d; n must be odd.
-
-    For n > 1 this is twice an Eulerian number: dropping the largest letter
-    from the cycle word leaves a permutation with d-1 or n-d-1 descents, and
-    the two cases are disjoint for odd n.
-    """
-    if n % 2 == 0:
-        raise ValueError(f"cycle length must be odd, got {n}")
-    if n < 1 or d < 0 or 2 * d > n - 1:
-        return 0
-    if n == 1:
-        return 1
-    return 2 * eulerian(n - 1, d - 1)
+    """Full n-cycles on [n] whose M statistic is d; n must be odd."""
+    row = _l_row(n)
+    return row[d] if 0 <= d < len(row) else 0
 
 
 def double_factorial(n: int) -> int:
@@ -174,7 +177,7 @@ def ballot_series(order: int) -> MultiSeries:
     """EGF of ballot permutations refined by descents: exp of the odd-cycle
     series, the sum over odd n of l(n, d) t^d x^n / n!."""
     return series.exp_series(series.egf(order, {
-        (d, n, 0, 0): l_count(n, d) for n in range(1, order + 1, 2) for d in range((n + 1) // 2)}))
+        (d, n, 0, 0): v for n in range(1, order + 1, 2) for d, v in enumerate(_l_row(n))}))
 
 
 def ballot_desc_row(n: int) -> tuple[int, ...]:
@@ -192,8 +195,8 @@ def _odd_row(m: int) -> tuple[int, ...]:
     a(m, D) = sum C(m-1, nu-1) l(nu, delta) a(m-nu, D-delta)."""
     row = [int(m == 0)] + [0] * (m // 2)
     for nu in range(1, m + 1, 2):
-        for delta in range((nu - 1) // 2 + 1):
-            if lv := comb(m - 1, nu - 1) * l_count(nu, delta):
+        for delta, l in enumerate(_l_row(nu)):
+            if lv := comb(m - 1, nu - 1) * l:
                 for rest, v in enumerate(_odd_row(m - nu)):
                     row[delta + rest] += lv * v
     return tuple(row)
@@ -201,6 +204,7 @@ def _odd_row(m: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _p_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The d-major rows of p."""
     return tuple(map(tuple, _factor_rows(n, _odd_row, True)))
 
 
@@ -214,12 +218,11 @@ def p_count_partition(n: int, d: int, j: int) -> int:
     in every way that spends the leftover M.  The rest of that cycle read from
     j is the piece of _factor_rows with l = m1 + m2 + 1, of which only odd l
     and the low half 2k < l count cycle arrangements:  p(n, d, j) = sum
-    W_l[k] a(n-l-2, d-k-1).  All d-rows of one n are built at once and
-    cached; indices off the grid 2 <= j <= n-1, 0 <= d <= n-1 count zero.
+    W_l[k] a(n-l-2, d-k-1), read from the rows of _p_rows(n).
     """
     if not 2 <= j <= n - 1 or not 0 <= d <= n - 1:
         return 0
-    return _p_rows(n)[j - 2][d]
+    return _p_rows(n)[d][j - 2]
 
 
 class SeriesCatalog(NamedTuple):

@@ -154,7 +154,7 @@ def check_first_letter_gf(cat: SeriesCatalog) -> Iterator[Stage]:
     # the product above drops the top slice of the Eulerian EGF; the
     # Eulerian recursion reads every slice
     yield _first_mismatch(
-        ((n, d), series.extract_egf(cat.eulerian_egf, n, d), counts.eulerian(n, d))
+        ((n, d), series.extract_egf(cat.eulerian_egf, n, d), counts._eulerian_row(n)[d])
         for n in range(cat.order + 1) for d in range(max(1, n)))
 
 
@@ -174,11 +174,11 @@ def check_factor_counts(cat: SeriesCatalog, n_max_oracle: int) -> Iterator[Stage
     """Permutations with a factor 1nj or jn1: closed form, block recursion and
     enumeration agree entrywise, enumeration for n <= min(order, n_max_oracle)."""
     factor = cat.factor_gf
-    yield from (_grid(factor, n, n, 2, zip(*counts._e_rows(n))) for n in range(3, cat.order + 1))
+    yield from (_grid(factor, n, n, 2, counts._e_rows(n)) for n in range(3, cat.order + 1))
     yield _support(factor, lambda m: not 2 <= m[2] <= m[1] - 1)
     for n in range(3, min(cat.order - 1, n_max_oracle) + 1):
-        table = oracle.oracle_E(n)
-        yield _first_mismatch(((n, d, j), counts.e_count_rec(n, d, j), table[(d, j)])
+        table, rows = oracle.oracle_E(n), counts._e_rows(n)
+        yield _first_mismatch(((n, d, j), rows[d][j - 2], table[(d, j)])
                               for d in range(n) for j in range(2, n))
 
 
@@ -207,7 +207,7 @@ def check_ballot_cyclic_factor(cat: SeriesCatalog, n_max_oracle: int) -> Iterato
         yield _first_mismatch(
             ((n, d, i, j), bt[(d, i, j)] + bt[(d, j, i)], 2 * pt[(d, i, j)])
             for d in range(n) for i in range(1, n - 1) for j in range(i + 1, n))
-    yield from (_grid(cat.cyclic_factor_gf, n, n, 2, zip(*counts._p_rows(n)))
+    yield from (_grid(cat.cyclic_factor_gf, n, n, 2, counts._p_rows(n))
                 for n in range(3, cat.order + 1))
     one = series.one(cat.order)
     t = series.monomial(cat.order, 1, e_t=1)
@@ -300,5 +300,5 @@ def check_oeis_eulerian(entries: list[tuple[int, int, int, int]]) -> Iterator[St
     """Compare every read_bfile line with the Eulerian recursion, in file order,
     building only the rows the file names.  The order is the deepest row, 0 for
     a file with no line, which compares nothing and does not pass."""
-    yield _first_mismatch(((k, n, d), counts.eulerian(n, d), value)
+    yield _first_mismatch(((k, n, d), counts._eulerian_row(n)[d], value)
                           for k, n, d, value in entries)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ballotperm import cli, counts, oracle, series
+from ballotperm import cli, counts, oracle, series, verify
 from ballotperm.counts import (ballot_desc_row, ballot_series, ballot_total,
                                build_catalog, double_factorial, e_count_rec,
                                eulerian, eulerian_first,
@@ -315,8 +315,9 @@ def test_packed_rows_match_the_list_route():
                 a = eulerian_first(n - 2, d, j - 1)
                 e_row[d + 1] += a
                 e_row[d + 2] -= a
-            assert counts._e_rows(n)[j - 2] == tuple(e_row), (n, j)
-            assert counts._p_rows(n)[j - 2] == tuple(p_row), (n, j)
+            # the tables are d-major: column j - 2 holds the d-row of j
+            assert tuple(r[j - 2] for r in counts._e_rows(n)) == tuple(e_row), (n, j)
+            assert tuple(r[j - 2] for r in counts._p_rows(n)) == tuple(p_row), (n, j)
 
 
 def test_catalog_extraction_routes():
@@ -446,6 +447,8 @@ def test_clear_caches_drops_every_memo(monkeypatch):
 
     before = tables()
     build_catalog(4)
+    # table reads the rows, so the per-entry caches are filled here
+    eulerian_first(5, 1, 2), eulerian(5, 1)
     sizes = _memo_sizes()
     assert {"eulerian_first", "eulerian", "build_catalog", "_odd_row"} <= set(sizes)
     # every memo holds something, so one that clear_caches missed would show
@@ -458,3 +461,70 @@ def test_clear_caches_drops_every_memo(monkeypatch):
     sizes = _memo_sizes()
     assert not any(sizes.values()), sizes
     assert tables() == before
+
+
+def test_first_letter_rows_below_one_are_never_kept():
+    # row 0 was once stored as [[1]], and later rows grew from it: row 1 came
+    # out [[1], [0]] and row 2 with three d-rows
+    counts.clear_caches()
+    assert counts._first_row(0) == [] and counts._first_row(-1) == []
+    assert counts._first_row(1) == [[1]]
+    assert counts._first_row(2) == [[1, 0], [0, 1]]
+    assert sorted(counts._FIRST_ROWS) == [1, 2]
+    # table at n = 0, then verify, in one process
+    counts.clear_caches()
+    assert cli._table_entries("A_first", 0) == []
+    assert all(r.passed for r in verify.run_all(order=6, n_max_oracle=5))
+
+
+# each fast table stat, its per-entry lookup, and the (rows, columns) the
+# lookup's bounds give its row table; a 1-dimensional table has columns None
+ROW_TABLES = {
+    "A": (eulerian, lambda n: counts._eulerian_row(n), lambda n: (max(1, n), None)),
+    "A_first": (eulerian_first, lambda n: counts._first_row(n), lambda n: (n, n)),
+    "U": (u_count, lambda n: counts._u_row(n), lambda n: (n + 1, n)),
+    "E": (e_count_rec, lambda n: counts._e_rows(n), lambda n: (n, max(0, n - 2))),
+    "p": (p_count_partition, lambda n: counts._p_rows(n), lambda n: (n, max(0, n - 2))),
+    "l": (l_count, lambda n: counts._l_row(n), lambda n: (n // 2 + 1, None)),
+}
+
+
+@pytest.mark.parametrize("stat", sorted(ROW_TABLES))
+def test_table_is_the_rows_of_its_lookup(stat):
+    # table reads the row table whole; the lookup indexes the same rows, and
+    # counts zero on a box one wider than its domain on every side
+    lookup, rows, shape = ROW_TABLES[stat]
+    for n in range(17):
+        if stat == "l" and n % 2 == 0:
+            with pytest.raises(ValueError):
+                cli._table_entries(stat, n)
+            continue
+        length, width = shape(n)
+        assert len(rows(n)) == length, (stat, n)
+        assert width is None or all(len(r) == width for r in rows(n)), (stat, n)
+        if width is None:
+            box = [(d,) for d in range(-1, length + 1)]
+        else:
+            box = [(d, j) for d in range(-1, length + 1) for j in range(-1, n + 3)]
+        want = [(key, v) for key in box if (v := lookup(n, *key))]
+        assert cli._table_entries(stat, n) == want, (stat, n)
+
+
+def test_commands_call_no_per_entry_lookup(monkeypatch, tmp_path):
+    # the two cached lookups show it in their counters, the others by raising
+    counts.clear_caches()
+
+    def called(*args):
+        raise AssertionError(f"per-entry lookup called with {args}")
+
+    for name in ("u_count", "e_count_rec", "p_count_partition", "l_count"):
+        monkeypatch.setattr(counts, name, called)
+    out = str(tmp_path / "out")
+    for stat in ("A", "A_first", "U", "E", "b", "l", "p"):
+        assert cli.main(["table", "--stat", stat, "--n", "13", "--out", out]) == 0, stat
+    bfile = str(Path(__file__).parent / "data" / "b008292.txt")
+    assert cli.main(["verify", "--order", "14", "--n-max-oracle", "7",
+                     "--oeis-bfile", bfile, "--out", out]) == 0
+    for fn in (eulerian_first, eulerian):
+        info = fn.cache_info()
+        assert (info.hits, info.misses) == (0, 0), fn
