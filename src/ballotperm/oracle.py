@@ -1,10 +1,11 @@
 """Ground-truth counts by exhaustive enumeration, in two cached walks.
 
-The word walk (A_first, b, E, b_factor) visits S_{n-1} once: each word of
-S_n is one of them with n put into one of its n gaps, and what n does in a
-gap depends only on the up-down pattern of the shorter word (Stanley, EC1
-1.6), so the gaps are classified once per pattern, and each word's pattern
-is read at its lexicographic rank in one byte table.  The odd-cycle walk
+The word walk (A_first, b, E, b_factor) visits the (n-2)! words on the
+letters 2..n-1 once: each word of S_n is one of them with 1 and then n put
+into a gap, and what an extreme letter does in a gap depends only on the
+up-down pattern of the shorter word (de Bruijn 1970; Stanley, EC1 1.6), so
+the gaps are classified once per pattern, and each word's pattern is read
+at its lexicographic rank in one byte table.  The odd-cycle walk
 (M, p and, for odd n, l) carries the odd order permutations that fix n
 over from n - 1 and builds every other one from an odd order permutation
 of [n-2], cycle by cycle, with a -> n -> b spliced into a cycle.  Each visited
@@ -24,6 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, permutations, product
+from math import factorial
 
 ENUMERATION_CAP = 10
 
@@ -95,49 +97,104 @@ def _gap_classes(m: int) -> list[tuple[int, bool, tuple[tuple[int, int], ...]]]:
     return classes
 
 
+def _ids_with_1(k: int) -> list[list[int]]:
+    """For the pattern id i of each word u on k + 1 letters above 1 (see
+    `_pattern_ids`), the ids of u with 1 put at each position g = 0..k+1: the
+    comparisons within u[:g], a descent into 1 unless g = 0, an ascent out of
+    1 unless g = k + 1, and the t = k - g comparisons within u[g:]."""
+    return [[(i >> (t + 1)) << (t + 2) | 1 << t | i & ((1 << t) - 1) for t in range(k, -1, -1)]
+            + [i << 1] for i in range(1 << k)]
+
+
+def _unpack(rows: list[int], width: int, n: int = 0) -> Counter:
+    """The nonzero fields of packed ints, `width` bits a field: field f of
+    rows[d] at key (d, f), or at (d, *divmod(f, n)) when n is given."""
+    table, mask = Counter(), (1 << width) - 1
+    for d, x in enumerate(rows):
+        f = 0
+        while x:
+            if x & mask:
+                table[(d, *divmod(f, n)) if n else (d, f)] = x & mask
+            x >>= width
+            f += 1
+    return table
+
+
 @lru_cache(maxsize=None)
 def _word_tables(n: int) -> dict[str, Counter]:
-    """One walk over S_n, as S_{n-1} with n inserted, filling the A_first, b,
-    E and b_factor tables.
+    """One walk over the words u on 2..n-1, filling the A_first, b, E and
+    b_factor tables of S_n.
 
-    Each w of S_{n-1} is tallied by its pattern (see `_gap_classes`), read
-    at w's rank in `_pattern_ids`, and first letter, by the neighbours of 1
-    (n between j and 1 keeps the d descents of w, n between 1 and j adds
-    one), and once per ballot gap by the two letters around it.  Then each
-    pattern is expanded over its gaps: n at the end or in one of the d
-    descent gaps keeps w's first letter and d descents, one of the n - 2 - d
-    ascent gaps gives d + 1, and n in front gives first letter n and d + 1
-    descents.
+    A word of S_n is a word w of S_{n-1} with n in one of its gaps, and w is
+    u with 1 at some position g.  What the extreme letters 1 and n do in a
+    gap depends only on the up-down pattern around it, so u is tallied only
+    by its pattern id i (see `_pattern_ids`) and, for each p, by the pair
+    (u[p], u[p+1]) at field a*n + b of the packed int slabs[i][p], `width`
+    bits a field, so that no count (each below n!) carries.  The letters at
+    position p + 1 of u are the column sums of slab p, those at position 0
+    the blocks of words that share a first letter.  Each (id of u, g) gives
+    the class of w (see `_ids_with_1` and `_gap_classes`): w starts with 1 at
+    g = 0 and with u[0] otherwise; 1 follows u[g-1] (factor jn1, d descents)
+    and precedes u[g] (factor 1nj, d + 1); and a ballot gap h of w lies
+    between u[g-1] and 1 (h = g), 1 and u[g] (h = g + 1), or two letters of
+    u.  Last, each class of w is expanded over the gaps of n: n at the end or
+    in one of the d descent gaps keeps w's first letter and d descents, one
+    of the n - 2 - d ascent gaps gives d + 1, and n in front gives first
+    letter n and d + 1 descents.
     """
-    if n < 2:       # the empty word, with no first letter, and 1: ballot, no descents
-        return _count_tables({"A_first": [[0, 1]] * n, "b": [1], "E": [], "b_factor": []})
-    m = n - 1
-    e, factor = _zeros(n, n), _zeros(n, n, n)                   # e[d][j], factor[d][i][j]
+    if n < 3:       # S_0, S_1, S_2: no factor inj, and the ballot words have no descent
+        return _count_tables({"A_first": [[0, 1], [0, 0, 1]][:n], "b": [1], "E": [],
+                              "b_factor": []})
+    m, k = n - 1, n - 3                     # u has k comparisons, w has k + 1
+    width = factorial(n).bit_length() + 1
+    row = n * width
+    one = [[1 << (a * n + b) * width for b in range(n)] for a in range(n)]  # one pair (a, b)
+    ids, positions = _pattern_ids(n - 2), range(k)
+    slabs = [[0] * k for _ in range(1 << k)]                # slabs[i][p]: (u[p], u[p+1])
+    for u, i in zip(permutations(range(2, n)), ids):
+        s = slabs[i]
+        for p in positions:
+            s[p] += one[u[p]][u[p + 1]]
+    size, total = factorial(k), [0] * (1 << k)
+    letters = [[0] for _ in slabs]                          # letters[i][p]: u[p]
+    for f in range(n - 2):                                  # the words with u[0] = f + 2
+        for i, c in Counter(ids[f * size:(f + 1) * size]).items():
+            total[i] += c
+            letters[i][0] += c << (f + 2) * width
+    low = (1 << row) - 1
+    for q, s in zip(letters, slabs):
+        q += [sum(x >> a * row & low for a in range(2, n)) for x in s]
     classes = _gap_classes(m)
-    walk = [(_zeros(n), e[d], e[d + 1], tuple((k - 1, k, factor[dn]) for k, dn in gaps))
-            for d, _, gaps in classes]
-    for w, key in zip(permutations(range(1, n)), _pattern_ids(m)):
-        firsts, before_1, after_1, ballot_gaps = walk[key]
-        firsts[w[0]] += 1
-        i = w.index(1)
-        if i:                   # factor jn1
-            before_1[w[i - 1]] += 1
-        if i < m - 1:           # factor 1nj
-            after_1[w[i + 1]] += 1
-        for j, k, rows in ballot_gaps:
-            rows[w[j]][w[k]] += 1
-    first, ballot = _zeros(n, n + 1), _zeros(n)                 # first[d][j], ballot[d]
-    for (d, is_ballot, gaps), (firsts, *_) in zip(classes, walk):
-        count = sum(firsts)
+    firsts, counts = [0] * len(classes), [0] * len(classes)  # by the pattern of w
+    e, factor, col1 = [0] * n, [0] * n, [0] * n     # packed by d: E, b_factor, its column 1
+    for s, q, c, ws in zip(slabs, letters, total, _ids_with_1(k)):
+        for g, w in enumerate(ws):
+            firsts[w] += q[0] if g else c << width
+            counts[w] += c
+            d, _, gaps = classes[w]
+            if g:                           # factor jn1
+                e[d] += q[g - 1]
+            if g <= k:                      # factor 1nj
+                e[d + 1] += q[g]
+            for h, dn in gaps:
+                if h == g:                  # u[g-1], 1
+                    col1[dn] += q[g - 1]
+                elif h == g + 1:            # 1, u[g]: row 1
+                    factor[dn] += q[g] << row
+                else:
+                    factor[dn] += s[h - 1 if h < g else h - 2]
+    first, ballot = [0] * n, [0] * n
+    for (d, is_ballot, gaps), x, c in zip(classes, firsts, counts):
         if is_ballot:                           # n at the end
-            ballot[d] += count
+            ballot[d] += c
         for _, dn in gaps:
-            ballot[dn] += count
-        for j, c in enumerate(firsts):
-            first[d][j] += (d + 1) * c          # n at the end or in a descent
-            first[d + 1][j] += (m - 1 - d) * c  # n in an ascent
-        first[d + 1][n] += count                # n in front
-    return _count_tables({"A_first": first, "b": ballot, "E": e, "b_factor": factor})
+            ballot[dn] += c
+        first[d] += (d + 1) * x                 # n at the end or in a descent
+        first[d + 1] += (m - 1 - d) * x + (c << row)   # n in an ascent, or in front (j = n)
+    pairs = _unpack(factor, width, n)
+    pairs.update({(d, a, 1): c for (d, a), c in _unpack(col1, width).items()})
+    return {"A_first": _unpack(first, width), "b": Counter(dict(_nonzero(ballot))),
+            "E": _unpack(e, width), "b_factor": pairs}
 
 
 def _odd_order_cycles(m: int):

@@ -122,7 +122,7 @@ def check_ballot_totals(cat: SeriesCatalog) -> Iterator[Stage]:
 def check_m_equidistribution(n_max: int) -> Iterator[Stage]:
     """Ballot permutations by descents and odd order permutations by the M
     statistic are equinumerous, by double enumeration."""
-    for n in range(1, n_max + 1):
+    for n in range(n_max + 1):
         lhs, rhs = oracle.oracle_ballot_desc(n), oracle.oracle_odd_order_M(n)
         yield _first_mismatch(((n,) + key, lhs[key], rhs[key])
                               for key in sorted(lhs.keys() | rhs.keys()))
@@ -222,7 +222,7 @@ def check_neighbor_pair_gf(cat: SeriesCatalog, n_max_oracle: int) -> Iterator[St
     """The two-neighbor series: pair-weight extraction matches twice the
     enumerated cyclic factor counts, the support respects i < j <= n-1, and
     the enumerated counts are Toeplitz (invariant under shifting both
-    neighbors)."""
+    neighbors) and symmetric in i and j, which holds the corner (n-1, 1)."""
     pair = cat.pair_factor_gf
     yield _support(pair, lambda m: not 1 <= m[2] < m[3] <= m[1] - 1)
     for n in range(3, min(n_max_oracle, pair.order) + 1):
@@ -231,11 +231,12 @@ def check_neighbor_pair_gf(cat: SeriesCatalog, n_max_oracle: int) -> Iterator[St
             ((n, d, i, j), series.extract_quad(pair, n, d, i, j), 2 * table[(d, i, j)])
             for d in range((n - 1) // 2 + 1) for i in range(1, n - 1) for j in range(i + 1, n))
     for n in range(3, n_max_oracle + 1):
-        table = oracle.oracle_p_cyclic(n)
+        table, ds = oracle.oracle_p_cyclic(n), range((n - 1) // 2 + 1)
         yield _first_mismatch(
             ((n, d, i, j), table[(d, i, j)], table[(d, i + 1, j + 1)])
-            for d in range((n - 1) // 2 + 1) for i in range(1, n - 1) for j in range(1, n - 1)
-            if i != j)
+            for d in ds for i in range(1, n - 1) for j in range(1, n - 1) if i != j)
+        yield _first_mismatch(((n, d, i, j), table[(d, i, j)], table[(d, j, i)])
+                              for d in ds for i in range(2, n) for j in range(1, i))
 
 
 def mutate_catalog(cat: SeriesCatalog, name: str) -> SeriesCatalog:

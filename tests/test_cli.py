@@ -227,16 +227,18 @@ def test_verify_order_one_is_vacuous(capsys):
     reports = json.loads(out)
     failed = [r["name"] for r in reports if not r["passed"]]
     assert failed == [r["name"] for r in reports if r["compared"] == 0]
-    assert failed == ["factor_counts", "neighbor_pair_gf"]
+    assert failed == ["factor_counts"]
     assert not any("discrepancy" in r for r in reports)
+    # the pair check holds p(d, 2, 1) = p(d, 1, 2) at n = 3, d = 0 and 1
+    assert {r["name"]: r for r in reports}["neighbor_pair_gf"]["compared"] == 2
 
 
-def test_verify_oracle_length_zero_compares_nothing(capsys):
+def test_verify_oracle_length_zero_compares_the_empty_permutation(capsys):
+    # b(0, 0) = M(0, 0) = 1, the one entry at length 0
     code, out, _ = run(capsys, "verify", "--order", "3", "--n-max-oracle", "0")
-    assert code == 1
+    assert code == 0
     report = {r["name"]: r for r in json.loads(out)}["m_equidistribution"]
-    assert report["compared"] == 0 and report["passed"] is False
-    assert "discrepancy" not in report
+    assert (report["order"], report["compared"], report["passed"]) == (0, 1, True)
 
 
 def test_verify_cap(capsys):

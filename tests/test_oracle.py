@@ -277,8 +277,8 @@ def _pattern_id(w: tuple[int, ...]) -> int:
 def test_pattern_ids_match_words():
     for m in range(1, 9):
         assert oracle._pattern_ids(m) == bytes(map(_pattern_id, permutations(range(1, m + 1)))), m
-    # the largest id of S_{n-1}, n <= ENUMERATION_CAP, must fit a byte
-    assert 2 ** (oracle.ENUMERATION_CAP - 2) - 1 < 256
+    # the word walk reads the ids of S_{n-2}; the largest, n <= ENUMERATION_CAP, must fit a byte
+    assert 2 ** (oracle.ENUMERATION_CAP - 3) - 1 < 256
 
 
 def test_gap_classes_match_inserted_words():
@@ -300,6 +300,33 @@ def test_gap_classes_match_inserted_words():
                     assert (k in ballot_gaps) == is_ballot(v), (w, k)
                     if k in ballot_gaps:
                         assert ballot_gaps[k] == descents(v), (w, k)
+
+
+def test_ids_with_1_match_inserted_words():
+    # every word u on 2..m, with 1 put at every position g
+    for m in range(2, 8):
+        ids = oracle._ids_with_1(m - 2)
+        assert len(ids) == 2 ** (m - 2)
+        for u in permutations(range(2, m + 1)):
+            assert ids[_pattern_id(u)] == [_pattern_id(u[:g] + (1,) + u[g:]) for g in range(m)], u
+
+
+def test_word_walk_draws_the_words_on_2_to_n_minus_1(monkeypatch):
+    # one word u per (n - 2)!, where the walk by S_{n-1} drew (n - 1)!
+    drawn = []
+
+    def counted(*args):
+        for u in permutations(*args):
+            drawn.append(u)
+            yield u
+
+    monkeypatch.setattr(oracle, "permutations", counted)
+    for n in range(3, 10):
+        oracle.clear_caches()
+        drawn.clear()
+        oracle._word_tables(n)
+        assert len(drawn) == factorial(n - 2), n
+    oracle.clear_caches()
 
 
 def _imports(module):

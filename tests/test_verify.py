@@ -172,6 +172,40 @@ def test_bridge_break_off_the_first_letter_is_reported(monkeypatch):
     assert verify.check_ballot_cyclic_factor(counts.build_catalog(4), 4).passed
 
 
+# every brute-force table that `verify` reads
+ORACLE_TABLES = ("oracle_ballot_desc", "oracle_odd_order_M", "oracle_E", "oracle_b_factor",
+                 "oracle_p_cyclic")
+
+
+def test_every_oracle_bump_fails_the_suite(monkeypatch):
+    # every stored count of every table above, at each n <= 5, bumped by 1
+    # one at a time, must fail run_all(6, 5); a raise counts as caught
+    escaped, bumped = [], Counter()
+    for name in ORACLE_TABLES:
+        real = getattr(oracle, name)
+        for n in range(6):
+            for key in sorted(real(n)):
+                def bad(m, n=n, key=key, real=real):
+                    table = real(m)
+                    if m != n:
+                        return table
+                    copy = Counter(table)
+                    copy[key] += 1
+                    return copy
+
+                monkeypatch.setattr(oracle, name, bad)
+                try:
+                    caught = not all(r.passed for r in run_all(6, 5))
+                except Exception:
+                    caught = True
+                if not caught:
+                    escaped.append((name, n, key))
+                bumped[name] += 1
+        monkeypatch.setattr(oracle, name, real)
+    assert set(bumped) == set(ORACLE_TABLES) and bumped.total() == 94, bumped
+    assert not escaped, escaped
+
+
 def test_a_failing_stage_skips_the_later_stages(monkeypatch):
     def unreachable(n):
         raise AssertionError("the brute-force stage ran after a failed stage")
