@@ -70,7 +70,6 @@ def eulerian(n: int, d: int) -> int:
     return _eulerian_row(n)[d]
 
 
-@lru_cache(maxsize=None)
 def _u_row(n: int) -> list[list[int]]:
     # row n of U, entry [d][j - 1] for d = 0..n; rows[d + 1] = A(n, d, .)
     rows = [[0] * n] + _first_row(n) + [[0] * n]
@@ -107,8 +106,7 @@ def _factor_rows(n: int, rest, odd: bool) -> list[list[int]]:
     wb = (2 * factorial(n)).bit_length() // 8 + 1     # at least one spare bit
     acc = [0] * (n - 2)
     for l in range(1, n - 1, 1 + odd):
-        # field k of column u is U(l, k, u+1)
-        cols = [(_pack(c, wb) << 8 * wb) + _pack(c[::-1], wb) for c in zip(*_first_row(l))]
+        cols = [_pack(c, wb) for c in zip(*_u_row(l))]   # field k of column u: U(l, k, u+1)
         q = _pack((0,) + rest(n - l - 2), wb)     # n and its descent shift by one
         mask = (1 << 8 * wb * ((l + 1) // 2 if odd else l + 1)) - 1
         for j in range(2, n):
@@ -320,7 +318,7 @@ def build_catalog(order: int) -> SeriesCatalog:
 
 # taken here, so that clear_caches reaches each cache even while a caller has
 # put a wrapper in place of the module's name
-_CACHED = (eulerian_first, eulerian, _u_row, _e_rows, _odd_row, _p_rows, build_catalog)
+_CACHED = (eulerian_first, eulerian, _e_rows, _odd_row, _p_rows, build_catalog)
 
 
 def clear_caches() -> None:

@@ -8,9 +8,12 @@ the gaps are classified once per pattern, and each word's pattern is read
 at its lexicographic rank in one byte table.  The odd-cycle walk
 (M, p and, for odd n, l) carries the odd order permutations that fix n
 over from n - 1 and builds every other one from an odd order permutation
-of [n-2], cycle by cycle, with a -> n -> b spliced into a cycle.  Each visited
-word or odd order permutation is tallied by class, and each class is
-expanded over the gaps or over b: a count is never a formula.
+of [n-2], enumerated by the cycle through its smallest letter, with
+a -> n -> b spliced into a cycle.  Each visited word or odd order
+permutation is tallied by class, and each class is expanded over the gaps
+or over b: a count is never a formula.  Both walks sum into a row by d:
+an int per d for a table keyed by d alone, read by `_by_d`, and a packed
+int per d, a field per index, for the others, read by `_unpack`.
 
 Each table is a `collections.Counter` keyed by index tuples, so a missing
 key reads 0.  Tables are deterministic and, once built, must be treated as
@@ -24,8 +27,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import accumulate, permutations, product
+from itertools import accumulate, combinations, permutations, product
 from math import factorial
+from operator import gt
 
 ENUMERATION_CAP = 10
 
@@ -33,24 +37,6 @@ ENUMERATION_CAP = 10
 def _check_n(n: int) -> None:
     if not 0 <= n <= ENUMERATION_CAP:
         raise ValueError(f"need 0 <= n <= {ENUMERATION_CAP} (the enumeration cap), got {n}")
-
-
-def _zeros(size: int, *rest: int) -> list:
-    """Zero counts in nested lists of the given shape, indexed like the table keys."""
-    return [_zeros(*rest) for _ in range(size)] if rest else [0] * size
-
-
-def _nonzero(rows: list, key: tuple[int, ...] = ()):
-    """Yield (index tuple, count) for every nonzero count in nested lists, in key order."""
-    for i, x in enumerate(rows):
-        if isinstance(x, list):
-            yield from _nonzero(x, key + (i,))
-        elif x:
-            yield key + (i,), x
-
-
-def _count_tables(counts: dict[str, list]) -> dict[str, Counter]:
-    return {stat: Counter(dict(_nonzero(rows))) for stat, rows in counts.items()}
 
 
 def _pattern_ids(m: int) -> bytes:
@@ -120,6 +106,11 @@ def _unpack(rows: list[int], width: int, n: int = 0) -> Counter:
     return table
 
 
+def _by_d(row: list[int]) -> Counter:
+    """The nonzero entries of a row by d, at key (d,)."""
+    return Counter({(d,): c for d, c in enumerate(row) if c})
+
+
 @lru_cache(maxsize=None)
 def _word_tables(n: int) -> dict[str, Counter]:
     """One walk over the words u on 2..n-1, filling the A_first, b, E and
@@ -143,8 +134,8 @@ def _word_tables(n: int) -> dict[str, Counter]:
     letter n and d + 1 descents.
     """
     if n < 3:       # S_0, S_1, S_2: no factor inj, and the ballot words have no descent
-        return _count_tables({"A_first": [[0, 1], [0, 0, 1]][:n], "b": [1], "E": [],
-                              "b_factor": []})
+        return {"A_first": Counter({(d, d + 1): 1 for d in range(n)}), "b": Counter({(0,): 1}),
+                "E": Counter(), "b_factor": Counter()}
     m, k = n - 1, n - 3                     # u has k comparisons, w has k + 1
     width = factorial(n).bit_length() + 1
     row = n * width
@@ -193,36 +184,31 @@ def _word_tables(n: int) -> dict[str, Counter]:
         first[d + 1] += (m - 1 - d) * x + (c << row)   # n in an ascent, or in front (j = n)
     pairs = _unpack(factor, width, n)
     pairs.update({(d, a, 1): c for (d, a), c in _unpack(col1, width).items()})
-    return {"A_first": _unpack(first, width), "b": Counter(dict(_nonzero(ballot))),
+    return {"A_first": _unpack(first, width), "b": _by_d(ballot),
             "E": _unpack(e, width), "b_factor": pairs}
 
 
-def _odd_order_cycles(m: int):
-    """Yield every odd order permutation of [m] once, as its list of cycles,
-    each (letters in the order of the map i -> p_i, cyclic descents).
+def _odd_order_cycles(letters: tuple[int, ...]):
+    """Yield every odd order permutation of the increasing tuple `letters`
+    once, as its list of cycles, each (letters in the order of the map
+    i -> p_i, cyclic descents).
 
-    A cycle opens at the smallest unused letter and closes only at odd
-    length; `d` counts its descents so far, and on closing the wrap pair
-    (last, first) is added.  Depth first on a stack of (cycle, d, unused
-    letters, closed cycles), closing before growing by each unused letter
-    in increasing order, so the lists come in sorted order.  m = 0 yields
-    nothing.
+    The cycle through the smallest letter is that letter, then an even-size
+    choice of the other letters in every order; the rest of the permutation
+    is an odd order permutation of the letters left.  () yields [].
     """
-    stack = [((1,), 0, tuple(range(2, m + 1)), [])] if m else []
-    while stack:
-        cycle, d, rest, closed = stack.pop()
-        last = cycle[-1]
-        odd = len(cycle) % 2
-        if not odd or len(rest) > 1:    # an odd cycle never grows by the last letter
-            for k in reversed(range(len(rest))):
-                x = rest[k]
-                stack.append((cycle + (x,), d + (last > x), rest[:k] + rest[k + 1:], closed))
-        if odd:                         # close here; popped before the growths above
-            done = closed + [(cycle, d + (last > cycle[0]))]
-            if rest:
-                stack.append((rest[:1], 0, rest[1:], done))
-            else:
-                yield done
+    if not letters:
+        yield []
+        return
+    first, others = letters[0], letters[1:]
+    for size in range(0, len(others) + 1, 2):
+        for chosen in combinations(others, size):
+            rests = list(_odd_order_cycles(tuple(x for x in others if x not in chosen)))
+            for order in permutations(chosen):
+                cycle = (first, *order)
+                head = (cycle, sum(map(gt, cycle, order + (first,))))
+                for rest in rests:
+                    yield [head, *rest]
 
 
 @lru_cache(maxsize=None)
@@ -236,27 +222,26 @@ def _odd_cycle_tables(n: int) -> dict[str, Counter]:
     and b leaves an odd order permutation on [n-1] minus {b} in which
     a -> c, and this is a bijection.  M sums min(D, L - D) over the cycles,
     D a cycle's cyclic descents and L its length.  So the walk takes every
-    odd order permutation s of [n-2] and every letter a of s with successor
-    c, tallied by (M(s), D, L, a, c), and expands each class over every b
-    in 1..n-1 (letters >= b move up by one, which keeps every D and L).  The
-    cycle of a then has D - [a > c] + 1 + [c < b] cyclic descents and length
-    L + 2, n follows a + [a >= b] and precedes b, and the permutation is a
-    full n-cycle iff L = n - 2.
+    odd order permutation s of [n-2] (see `_odd_order_cycles`) and every
+    letter a of s with successor c, tallied by (M(s), D, L, a, c), and
+    expands each class over every b in 1..n-1 (letters >= b move up by one,
+    which keeps every D and L).  The cycle of a then has
+    D - [a > c] + 1 + [c < b] cyclic descents and length L + 2, n follows
+    a + [a >= b] and precedes b, and the permutation is a full n-cycle iff
+    L = n - 2.  M and l are rows by M; p is packed by M, as b_factor is in
+    `_word_tables`, with (a + [a >= b], b) at field (a + [a >= b]) n + b.
     """
     if n < 2:       # M = 0 for the empty permutation and for 1, a full cycle
-        return _count_tables({"M": [1], "p": [], "l": [n]})
-    m_counts = _zeros(n)
+        return {"M": Counter({(0,): 1}), "p": Counter(), "l": Counter({(0,): 1} if n else {})}
+    width = factorial(n).bit_length() + 1
+    m_row, p_rows, l_row = [0] * n, [0] * n, [0] * n
     for (d,), count in _odd_cycle_tables(n - 1)["M"].items():   # n fixed
-        m_counts[d] += count
-    splices = {}            # (M(s), D, L, a, c) -> count
-    for cycles in _odd_order_cycles(n - 2):
-        total = sum(min(d, len(cycle) - d) for cycle, d in cycles)
-        for cycle, d in cycles:
-            size = len(cycle)
-            for a, c in zip(cycle, cycle[1:] + cycle[:1]):
-                key = (total, d, size, a, c)
-                splices[key] = splices.get(key, 0) + 1
-    p_counts, l_counts = _zeros(n, n, n), _zeros(n)                     # p_counts[d][i][j]
+        m_row[d] += count
+    splices = Counter(              # (M(s), D, L, a, c) -> count
+        (total, d, len(cycle), a, c)
+        for cycles in _odd_order_cycles(tuple(range(1, n - 1)))
+        for total in [sum(min(d, len(cycle) - d) for cycle, d in cycles)]
+        for cycle, d in cycles for a, c in zip(cycle, cycle[1:] + cycle[:1]))
     for (total, d, size, a, c), count in splices.items():
         rest = total - min(d, size - d)
         d_new = d - (a > c) + 1                     # for b <= c; one more for b > c
@@ -265,11 +250,11 @@ def _odd_cycle_tables(n: int) -> dict[str, Counter]:
         full = n % 2 and size == n - 2
         for b in range(1, n):
             m = m_low if b <= c else m_high
-            m_counts[m] += count
-            p_counts[m][a + (a >= b)][b] += count
+            m_row[m] += count
+            p_rows[m] += count << ((a + (a >= b)) * n + b) * width
             if full:
-                l_counts[m] += count
-    return _count_tables({"M": m_counts, "p": p_counts, "l": l_counts})
+                l_row[m] += count
+    return {"M": _by_d(m_row), "p": _unpack(p_rows, width, n), "l": _by_d(l_row)}
 
 
 def oracle_eulerian_first(n: int) -> Counter:

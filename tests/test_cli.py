@@ -221,16 +221,23 @@ def test_verify_default_order(capsys):
 
 
 def test_verify_order_one_is_vacuous(capsys):
-    # at order 1 some checks have no entry to compare; they must not pass
+    # at order 1 the series grids of the factor checks are empty, and the
+    # oracle stages alone give them entries to compare
     code, out, _ = run(capsys, "verify", "--order", "1", "--n-max-oracle", "3")
+    assert code == 0
+    reports = {r["name"]: r for r in json.loads(out)}
+    # E at n = 3 against the recursion, whatever the order
+    assert reports["factor_counts"]["compared"] == 3
+    # the pair check holds p(d, 2, 1) = p(d, 1, 2) at n = 3, d = 0 and 1
+    assert reports["neighbor_pair_gf"]["compared"] == 2
+    # below n = 3 they have no entry to compare; they must not pass
+    code, out, _ = run(capsys, "verify", "--order", "1", "--n-max-oracle", "2")
     assert code == 1
     reports = json.loads(out)
     failed = [r["name"] for r in reports if not r["passed"]]
     assert failed == [r["name"] for r in reports if r["compared"] == 0]
-    assert failed == ["factor_counts"]
+    assert failed == ["factor_counts", "ballot_cyclic_factor", "neighbor_pair_gf"]
     assert not any("discrepancy" in r for r in reports)
-    # the pair check holds p(d, 2, 1) = p(d, 1, 2) at n = 3, d = 0 and 1
-    assert {r["name"]: r for r in reports}["neighbor_pair_gf"]["compared"] == 2
 
 
 def test_verify_oracle_length_zero_compares_the_empty_permutation(capsys):

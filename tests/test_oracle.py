@@ -418,15 +418,28 @@ def test_odd_cycle_totals(n):
 
 @pytest.mark.parametrize("m", range(9))
 def test_odd_order_cycles_in_cycle_list_order(m):
-    perms = list(oracle._odd_order_cycles(m))
-    assert len(perms) == (ODD_ORDER[m] if m else 0)
-    assert perms == sorted(perms) and len(set(map(repr, perms))) == len(perms)
-    for cycles in perms:
+    # what the odd-cycle walk needs, in whatever order the lists come: each odd
+    # order permutation of [m] once, as cycles that each open at their smallest
+    # letter, listed by that letter, with d their cyclic descents
+    seen = Counter()
+    for cycles in oracle._odd_order_cycles(tuple(range(1, m + 1))):
         assert sorted(x for cycle, _ in cycles for x in cycle) == list(range(1, m + 1))
+        assert [cycle[0] for cycle, _ in cycles] == sorted(min(cycle) for cycle, _ in cycles)
+        perm = [0] * m
         for cycle, d in cycles:
-            assert len(cycle) % 2 and cycle[0] == min(cycle), cycles
             assert d == sum(map(gt, cycle, cycle[1:] + cycle[:1])), cycles
-        assert [cycle[0] for cycle, _ in cycles] == sorted(cycle[0] for cycle, _ in cycles)
+            for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+                perm[x - 1] = y
+        seen[tuple(perm)] += 1
+    assert seen.total() == ODD_ORDER[m] and set(seen.values()) == {1}
+    assert set(seen) == {p for p in permutations(range(1, m + 1)) if is_odd_order(p)}
+
+
+def test_odd_order_cycles_relabel_a_gapped_tuple():
+    letters = (2, 5, 7, 9)
+    want = [[(tuple(letters[x - 1] for x in cycle), d) for cycle, d in cycles]
+            for cycles in oracle._odd_order_cycles((1, 2, 3, 4))]
+    assert list(oracle._odd_order_cycles(letters)) == want
 
 
 def test_tables_match_golden_hashes():

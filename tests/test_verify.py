@@ -179,7 +179,8 @@ ORACLE_TABLES = ("oracle_ballot_desc", "oracle_odd_order_M", "oracle_E", "oracle
 
 def test_every_oracle_bump_fails_the_suite(monkeypatch):
     # every stored count of every table above, at each n <= 5, bumped by 1
-    # one at a time, must fail run_all(6, 5); a raise counts as caught
+    # one at a time, must fail run_all(6, 5) and run_all(3, 5), where the
+    # order is below the oracle's reach; a raise counts as caught
     escaped, bumped = [], Counter()
     for name in ORACLE_TABLES:
         real = getattr(oracle, name)
@@ -194,12 +195,13 @@ def test_every_oracle_bump_fails_the_suite(monkeypatch):
                     return copy
 
                 monkeypatch.setattr(oracle, name, bad)
-                try:
-                    caught = not all(r.passed for r in run_all(6, 5))
-                except Exception:
-                    caught = True
-                if not caught:
-                    escaped.append((name, n, key))
+                for order in (6, 3):
+                    try:
+                        caught = not all(r.passed for r in run_all(order, 5))
+                    except Exception:
+                        caught = True
+                    if not caught:
+                        escaped.append((order, name, n, key))
                 bumped[name] += 1
         monkeypatch.setattr(oracle, name, real)
     assert set(bumped) == set(ORACLE_TABLES) and bumped.total() == 94, bumped
