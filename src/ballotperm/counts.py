@@ -81,7 +81,8 @@ def u_count(n: int, d: int, j: int) -> int:
     ascents, A(n, d-1, j) + A(n, n-d-1, j); symmetric under d <-> n-d."""
     if n < 1 or not 0 <= d <= n or not 1 <= j <= n:
         return 0
-    return _u_row(n)[d][j - 1]
+    row = _first_row(n)
+    return sum(row[e][j - 1] for e in (d - 1, n - d - 1) if 0 <= e < n)
 
 
 def _pack(cs, wb: int) -> int:

@@ -8,12 +8,14 @@ the gaps are classified once per pattern, and each word's pattern is read
 at its lexicographic rank in one byte table.  The odd-cycle walk
 (M, p and, for odd n, l) carries the odd order permutations that fix n
 over from n - 1 and builds every other one from an odd order permutation
-of [n-2], enumerated by the cycle through its smallest letter, with
-a -> n -> b spliced into a cycle.  Each visited word or odd order
-permutation is tallied by class, and each class is expanded over the gaps
-or over b: a count is never a formula.  Both walks sum into a row by d:
-an int per d for a table keyed by d alone, read by `_by_d`, and a packed
-int per d, a field per index, for the others, read by `_unpack`.
+of [n-2] with a -> n -> b spliced into the cycle of a: each cycle on [L],
+odd L <= n - 2, is visited once and put on every L-set of letters, with
+the walk's own M table of the letters left.  Each visited word or cycle is
+tallied by class, and each class is expanded over the gaps, or over the
+letter sets and b: a count is a product of tallies, never a formula.
+Both walks sum into a row by d: an int per d for a table keyed by d
+alone, read by `_by_d`, and a packed int per d, a field per index, for
+the others, read by `_unpack`.
 
 Each table is a `collections.Counter` keyed by index tuples, so a missing
 key reads 0.  Tables are deterministic and, once built, must be treated as
@@ -188,48 +190,39 @@ def _word_tables(n: int) -> dict[str, Counter]:
             "E": _unpack(e, width), "b_factor": pairs}
 
 
-def _odd_order_cycles(letters: tuple[int, ...]):
-    """Yield every odd order permutation of the increasing tuple `letters`
-    once, as its list of cycles, each (letters in the order of the map
-    i -> p_i, cyclic descents).
-
-    The cycle through the smallest letter is that letter, then an even-size
-    choice of the other letters in every order; the rest of the permutation
-    is an odd order permutation of the letters left.  () yields [].
-    """
-    if not letters:
-        yield []
-        return
-    first, others = letters[0], letters[1:]
-    for size in range(0, len(others) + 1, 2):
-        for chosen in combinations(others, size):
-            rests = list(_odd_order_cycles(tuple(x for x in others if x not in chosen)))
-            for order in permutations(chosen):
-                cycle = (first, *order)
-                head = (cycle, sum(map(gt, cycle, order + (first,))))
-                for rest in rests:
-                    yield [head, *rest]
+@lru_cache(maxsize=None)
+def _cycle_classes(size: int) -> Counter:
+    """(D, a, c) -> letters a of the (size-1)! cycles on [size], c the successor
+    of a and D the cycle's cyclic descents.  Each cycle is read from 1 and
+    drawn once, as 1 followed by an order of 2..size."""
+    return Counter((d, a, c) for order in permutations(range(2, size + 1))
+                   for cycle, succ in [((1, *order), (*order, 1))]
+                   for d in [sum(map(gt, cycle, succ))] for a, c in zip(cycle, succ))
 
 
 @lru_cache(maxsize=None)
 def _odd_cycle_tables(n: int) -> dict[str, Counter]:
     """The M, p and l tables of the odd order permutations of [n], each
-    visited once by inserting n.
+    counted once by inserting n.
 
     Either n is fixed, and the permutation is one on [n-1] with the same M:
     those are carried over from `_odd_cycle_tables(n - 1)["M"]`, with no p
     and no l entry.  Or its cycle reads ... a -> n -> b -> c ...; removing n
-    and b leaves an odd order permutation on [n-1] minus {b} in which
+    and b leaves an odd order permutation s on [n-1] minus {b} in which
     a -> c, and this is a bijection.  M sums min(D, L - D) over the cycles,
-    D a cycle's cyclic descents and L its length.  So the walk takes every
-    odd order permutation s of [n-2] (see `_odd_order_cycles`) and every
-    letter a of s with successor c, tallied by (M(s), D, L, a, c), and
-    expands each class over every b in 1..n-1 (letters >= b move up by one,
-    which keeps every D and L).  The cycle of a then has
-    D - [a > c] + 1 + [c < b] cyclic descents and length L + 2, n follows
-    a + [a >= b] and precedes b, and the permutation is a full n-cycle iff
-    L = n - 2.  M and l are rows by M; p is packed by M, as b_factor is in
-    `_word_tables`, with (a + [a >= b], b) at field (a + [a >= b]) n + b.
+    D a cycle's cyclic descents and L its length.  The cycle of a in s is
+    one on an odd-size set S of letters of [n-2], and the rest of s an odd
+    order permutation of the n - 2 - L letters left, so the pairs (s, a)
+    are the classes (D, a, c) of the cycles on [L] (see `_cycle_classes`),
+    relabeled by every S and weighted by the M table of the rest.  Each is
+    expanded over every b in 1..n-1 (letters >= b move up by one, which
+    keeps every D and L): the cycle of a has D - [a > c] + 1 + [c < b]
+    cyclic descents and length L + 2, n follows a + [a >= b] and precedes
+    b, and the permutation is a full n-cycle iff L = n - 2.  M and l are
+    rows by M; p is packed by M, as b_factor is in `_word_tables`, with
+    (a + [a >= b], b) at field (a + [a >= b]) n + b; spread[a][c] sums
+    these fields over b <= c, and the classes of one L are summed by the
+    M of a's new cycle before they meet the rest.
     """
     if n < 2:       # M = 0 for the empty permutation and for 1, a full cycle
         return {"M": Counter({(0,): 1}), "p": Counter(), "l": Counter({(0,): 1} if n else {})}
@@ -237,23 +230,27 @@ def _odd_cycle_tables(n: int) -> dict[str, Counter]:
     m_row, p_rows, l_row = [0] * n, [0] * n, [0] * n
     for (d,), count in _odd_cycle_tables(n - 1)["M"].items():   # n fixed
         m_row[d] += count
-    splices = Counter(              # (M(s), D, L, a, c) -> count
-        (total, d, len(cycle), a, c)
-        for cycles in _odd_order_cycles(tuple(range(1, n - 1)))
-        for total in [sum(min(d, len(cycle) - d) for cycle, d in cycles)]
-        for cycle, d in cycles for a, c in zip(cycle, cycle[1:] + cycle[:1]))
-    for (total, d, size, a, c), count in splices.items():
-        rest = total - min(d, size - d)
-        d_new = d - (a > c) + 1                     # for b <= c; one more for b > c
-        m_low = rest + min(d_new, size + 2 - d_new)
-        m_high = rest + min(d_new + 1, size + 1 - d_new)
-        full = n % 2 and size == n - 2
-        for b in range(1, n):
-            m = m_low if b <= c else m_high
-            m_row[m] += count
-            p_rows[m] += count << ((a + (a >= b)) * n + b) * width
-            if full:
-                l_row[m] += count
+    spread = [list(accumulate((1 << ((a + (a >= b)) * n + b) * width for b in range(1, n)),
+                              initial=0)) for a in range(n - 1)]
+    for size in range(1, n - 1, 2):
+        classes = [(min(e, size + 2 - e), min(e + 1, size + 1 - e), a - 1, c - 1, count)
+                   for (d, a, c), count in _cycle_classes(size).items()
+                   for e in [d - (a > c) + 1]]      # new cycle's descents at b <= c, +1 at b > c
+        packed, counted = [0] * ((size + 3) // 2), [0] * ((size + 3) // 2)  # by the new cycle's M
+        for letters in combinations(range(1, n - 1), size):
+            for low, high, a, c, count in classes:
+                a, c = letters[a], letters[c]
+                lo = spread[a][c]
+                packed[low] += count * lo
+                packed[high] += count * (spread[a][-1] - lo)
+                counted[low] += count * c
+                counted[high] += count * (n - 1 - c)
+        rows = (m_row, l_row) if size == n - 2 else (m_row,)     # a full n-cycle, n odd
+        for (rest,), weight in _odd_cycle_tables(n - 2 - size)["M"].items():
+            for part, (x, c) in enumerate(zip(packed, counted), rest):
+                p_rows[part] += weight * x
+                for row in rows:
+                    row[part] += weight * c
     return {"M": _by_d(m_row), "p": _unpack(p_rows, width, n), "l": _by_d(l_row)}
 
 
@@ -302,6 +299,7 @@ def oracle_l(n: int) -> Counter:
 
 
 def clear_caches() -> None:
-    """Drop both cached walks (used by determinism tests)."""
+    """Drop both cached walks and the cycle classes (used by determinism tests)."""
     _word_tables.cache_clear()
     _odd_cycle_tables.cache_clear()
+    _cycle_classes.cache_clear()

@@ -370,11 +370,18 @@ def extract_factor(s: MultiSeries, n: int, d: int, j: int) -> int:
     return letter_counts(s, n, [d], [j], 2)[0][0]
 
 
+def pair_counts(s: MultiSeries, n: int, ds, pairs) -> list[list[int]]:
+    """Rows d in ds of the counts at t^d x^n y^i z^j, (i, j) in pairs, under the
+    pair weight (j-i-1)! (n-j+i-2)!."""
+    if not all(1 <= i < j <= n - 1 for i, j in pairs):
+        raise ValueError(f"pair weight needs 1 <= i < j <= n-1 at n = {n}, got {pairs}")
+    return _counts(s, n, ds, [(i, j, factorial(j - i - 1) * factorial(n - j + i - 2))
+                              for i, j in pairs])
+
+
 def extract_quad(s: MultiSeries, n: int, d: int, i: int, j: int) -> int:
     """Count at t^d x^n y^i z^j under the pair weight (j-i-1)! (n-j+i-2)!."""
-    if not 1 <= i < j <= n - 1:
-        raise ValueError(f"pair weight needs 1 <= i < j <= n-1, got i={i}, j={j}, n={n}")
-    return _counts(s, n, [d], [(i, j, factorial(j - i - 1) * factorial(n - j + i - 2))])[0][0]
+    return pair_counts(s, n, [d], [(i, j)])[0][0]
 
 
 def first_difference(a: MultiSeries, b: MultiSeries):

@@ -226,10 +226,11 @@ def check_neighbor_pair_gf(cat: SeriesCatalog, n_max_oracle: int) -> Iterator[St
     pair = cat.pair_factor_gf
     yield _support(pair, lambda m: not 1 <= m[2] < m[3] <= m[1] - 1)
     for n in range(3, min(n_max_oracle, pair.order) + 1):
-        table = oracle.oracle_p_cyclic(n)
-        yield _first_mismatch(
-            ((n, d, i, j), series.extract_quad(pair, n, d, i, j), 2 * table[(d, i, j)])
-            for d in range((n - 1) // 2 + 1) for i in range(1, n - 1) for j in range(i + 1, n))
+        table, ds = oracle.oracle_p_cyclic(n), range((n - 1) // 2 + 1)
+        pairs = [(i, j) for i in range(1, n - 1) for j in range(i + 1, n)]
+        got = series.pair_counts(pair, n, ds, pairs)
+        yield _first_mismatch(((n, d, i, j), x, 2 * table[(d, i, j)])
+                              for d, row in zip(ds, got) for (i, j), x in zip(pairs, row))
     for n in range(3, n_max_oracle + 1):
         table, ds = oracle.oracle_p_cyclic(n), range((n - 1) // 2 + 1)
         yield _first_mismatch(

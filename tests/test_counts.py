@@ -108,6 +108,21 @@ def test_u_count():
                 assert u_count(n, d, j) == u_count(n, n - d, j)
 
 
+def test_u_count_reads_the_first_letter_row(monkeypatch):
+    # one entry is two entries of row n of A_first, not the whole U row: on the
+    # box of test_table_is_the_rows_of_its_lookup, with _u_row raising
+    rows = [counts._u_row(n) for n in range(17)]
+    want = {(n, d, j): rows[n][d][j - 1] if 0 <= d <= n and 1 <= j <= n else 0
+            for n in range(17) for d in range(-1, n + 2) for j in range(-1, n + 3)}
+
+    def whole_row(n):
+        raise AssertionError(f"u_count built the U row of {n}")
+
+    monkeypatch.setattr(counts, "_u_row", whole_row)
+    assert {key: u_count(*key) for key in want} == want
+    assert sum(want.values()) == sum(2 * factorial(n) for n in range(1, 17))
+
+
 def test_e_count_rec_values():
     assert e_count_rec(3, 1, 2) == 2
     assert e_count_rec(4, 1, 2) == 2

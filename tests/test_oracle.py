@@ -416,30 +416,40 @@ def test_odd_cycle_totals(n):
     assert tables["l"].total() == (factorial(n - 1) if n % 2 else 0)
 
 
-@pytest.mark.parametrize("m", range(9))
-def test_odd_order_cycles_in_cycle_list_order(m):
-    # what the odd-cycle walk needs, in whatever order the lists come: each odd
-    # order permutation of [m] once, as cycles that each open at their smallest
-    # letter, listed by that letter, with d their cyclic descents
-    seen = Counter()
-    for cycles in oracle._odd_order_cycles(tuple(range(1, m + 1))):
-        assert sorted(x for cycle, _ in cycles for x in cycle) == list(range(1, m + 1))
-        assert [cycle[0] for cycle, _ in cycles] == sorted(min(cycle) for cycle, _ in cycles)
-        perm = [0] * m
-        for cycle, d in cycles:
-            assert d == sum(map(gt, cycle, cycle[1:] + cycle[:1])), cycles
-            for x, y in zip(cycle, cycle[1:] + cycle[:1]):
-                perm[x - 1] = y
-        seen[tuple(perm)] += 1
-    assert seen.total() == ODD_ORDER[m] and set(seen.values()) == {1}
-    assert set(seen) == {p for p in permutations(range(1, m + 1)) if is_odd_order(p)}
+@pytest.mark.parametrize("size", [1, 3, 5, 7])
+def test_cycle_classes_tally_the_cycles_of_s_l(size):
+    # every letter a of every size-cycle of S_size, with its successor c and
+    # the cycle's cyclic descents D, whichever letter the cycle is read from
+    want = Counter()
+    for p in permutations(range(1, size + 1)):
+        cycles = cycle_decompose(p)     # fixed points included
+        if len(cycles) == 1:
+            cycle = cycles[0]
+            d = sum(map(gt, cycle, cycle[1:] + cycle[:1]))
+            want.update((d, a, p[a - 1]) for a in cycle)
+    assert oracle._cycle_classes(size) == want
+    assert want.total() == size * factorial(size - 1)
 
 
-def test_odd_order_cycles_relabel_a_gapped_tuple():
-    letters = (2, 5, 7, 9)
-    want = [[(tuple(letters[x - 1] for x in cycle), d) for cycle, d in cycles]
-            for cycles in oracle._odd_order_cycles((1, 2, 3, 4))]
-    assert list(oracle._odd_order_cycles(letters)) == want
+@pytest.mark.parametrize("n", range(oracle.ENUMERATION_CAP + 1))
+def test_odd_cycle_walk_draws_each_cycle_once(monkeypatch, n):
+    # from a cleared cache, the cycles on [L] for odd L <= n - 2, each read
+    # from 1: (L - 1)! orders, 1 + 2 + 24 + 720 = 747 for every table to n = 10,
+    # however many odd order permutations the tables count
+    drawn = []
+
+    def counted(*args):
+        for order in permutations(*args):
+            drawn.append(order)
+            yield order
+
+    monkeypatch.setattr(oracle, "permutations", counted)
+    oracle.clear_caches()
+    oracle._odd_cycle_tables(n)
+    assert len(drawn) == sum(factorial(size - 1) for size in range(1, n - 1, 2))
+    assert len(set(drawn)) == len(drawn) and oracle._word_tables.cache_info().currsize == 0
+    assert n < oracle.ENUMERATION_CAP or len(drawn) == 1 + 2 + 24 + 720
+    oracle.clear_caches()
 
 
 def test_tables_match_golden_hashes():

@@ -249,6 +249,8 @@ def test_extract_weights():
     assert extract_factor(f, 3, 1, 2) == 2
     q4 = monomial(6, Fraction(2), e_t=1, e_x=3, e_y=1, e_z=2)
     assert extract_quad(q4, 3, 1, 1, 2) == 2
+    q5 = q4 + monomial(6, Fraction(3), e_t=2, e_x=5, e_y=3, e_z=4)   # weight 0! 2!
+    assert series.pair_counts(q5, 5, range(3), [(1, 3), (3, 4)]) == [[0, 0], [0, 0], [0, 6]]
 
 
 def test_extract_errors():
