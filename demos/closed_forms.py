@@ -17,37 +17,34 @@ print(f"catalog built at truncation order {ORDER}")
 for name in counts.CATALOG_SERIES:
     print(f"  {name:18s} {len(getattr(cat, name).terms):5d} stored monomials")
 
+
+def show_three_routes(n, ds, lo, brute, rows, s):
+    """Print the nonzero (d, j) of one table, d in ds and lo <= j <= n+1-lo:
+    brute(d, j), the rows of the recursion, and the x^n slice of the series."""
+    js = range(lo, n + 2 - lo)
+    sliced = series.letter_counts(s, n, ds, js, lo)
+    for d, row in zip(ds, sliced):
+        for j, c in zip(js, row):
+            a, b = brute(d, j), rows[d][j - lo]
+            assert a == b == c
+            if a:
+                print(f"  ({d}, {j}): {a} / {b} / {c}")
+
+
 print("\nEulerian numbers refined by first letter, n = 4:")
 print("(d, j): brute force / recursion / series extraction")
-table = oracle.oracle_eulerian_first(4)
-for d in range(4):
-    for j in range(1, 5):
-        a = table[(d, j)]
-        b = counts.eulerian_first(4, d, j)
-        c = series.extract_first(cat.first_letter_gf, 4, d, j)
-        assert a == b == c
-        if a:
-            print(f"  ({d}, {j}): {a} / {b} / {c}")
+first = oracle.oracle_eulerian_first(4)
+show_three_routes(4, range(4), 1, lambda d, j: first[d, j], counts.first_row(4),
+                  cat.first_letter_gf)
 
 print("\npermutations with the largest letter between 1 and j (factor 1nj or jn1), n = 5:")
-for d in range(5):
-    for j in range(2, 5):
-        a = oracle.oracle_E(5)[(d, j)]
-        b = counts.e_count_rec(5, d, j)
-        c = series.extract_factor(cat.factor_gf, 5, d, j)
-        assert a == b == c
-        if a:
-            print(f"  ({d}, {j}): {a} / {b} / {c}")
+factor = oracle.oracle_E(5)
+show_three_routes(5, range(5), 2, lambda d, j: factor[d, j], counts.e_rows(5), cat.factor_gf)
 
 print("\nodd order permutations with cyclic factor 1nj, n = 5:")
-for d in range(3):
-    for j in range(2, 5):
-        a = oracle.oracle_p_cyclic(5)[(d, 1, j)]
-        b = counts.p_count_partition(5, d, j)
-        c = series.extract_factor(cat.cyclic_factor_gf, 5, d, j)
-        assert a == b == c
-        if a:
-            print(f"  ({d}, {j}): {a} / {b} / {c}")
+cyclic = oracle.oracle_p_cyclic(5)
+show_three_routes(5, range(3), 2, lambda d, j: cyclic[d, 1, j], counts.p_rows(5),
+                  cat.cyclic_factor_gf)
 
 print("\nthe ballot series through x^5 (exponential weights: n! times each"
       " x^n coefficient is a count):")

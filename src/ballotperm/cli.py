@@ -63,13 +63,13 @@ def _keyed(rows, lo: int | None = None) -> Iterator[tuple[tuple[int, ...], int]]
 # and U its own row, about 7 s and 129 / 151 MB at 400; E at 100 and p at 115
 # take about 3 s and 44 MB and 2 s and 40 MB; b_factor is brute force.
 STATS = {
-    "A": Stat(lambda n: _keyed(counts._eulerian_row(n)), 1500, None),
-    "A_first": Stat(lambda n: _keyed(counts._first_row(n), 1), 400, "oracle_eulerian_first"),
-    "U": Stat(lambda n: _keyed(counts._u_row(n), 1), 400, None),
-    "E": Stat(lambda n: _keyed(counts._e_rows(n), 2), 100, "oracle_E"),
+    "A": Stat(lambda n: _keyed(counts.eulerian_row(n)), 1500, None),
+    "A_first": Stat(lambda n: _keyed(counts.first_row(n), 1), 400, "oracle_eulerian_first"),
+    "U": Stat(lambda n: _keyed(counts.u_row(n), 1), 400, None),
+    "E": Stat(lambda n: _keyed(counts.e_rows(n), 2), 100, "oracle_E"),
     "b": Stat(lambda n: _keyed(counts.ballot_desc_row(n)), 250, "oracle_ballot_desc"),
-    "l": Stat(lambda n: _keyed(counts._l_row(n)), 1500, "oracle_l"),
-    "p": Stat(lambda n: _keyed(counts._p_rows(n), 2), 115, "oracle_p_cyclic"),
+    "l": Stat(lambda n: _keyed(counts.l_row(n)), 1500, "oracle_l"),
+    "p": Stat(lambda n: _keyed(counts.p_rows(n), 2), 115, "oracle_p_cyclic"),
     "b_factor": Stat(lambda n: sorted(oracle.oracle_b_factor(n).items()), MAX_ORACLE_N,
                      "oracle_b_factor"),
     "M": Stat(None, MAX_ORACLE_N, "oracle_odd_order_M"),
@@ -172,7 +172,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_verify(args) -> int:
     _check_bounds("--order", args.order, 1, MAX_ORDER, MAX_FORCED_ORDER["verify"], args.force)
-    _check_bounds("--n-max-oracle", args.n_max_oracle, 0, MAX_N, MAX_ORACLE_N, args.force)
+    _check_bounds("--n-max-oracle", args.n_max_oracle, 0, MAX_ORACLE_N, MAX_ORACLE_N, args.force)
     bfile = None if args.oeis_bfile is None else verify.read_bfile(args.oeis_bfile)
     if bfile is not None:     # a bad or too deep file fails before the suite runs
         rows = max((n for _, n, _, _ in bfile), default=0)

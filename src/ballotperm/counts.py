@@ -7,8 +7,8 @@ assembled by `build_catalog`.  The verification suite (`verify`) holds the
 routes against each other with exact integer arithmetic.
 
 A count table of one n >= 0 is d-major: rows[d][j - lo], j from the table's
-lowest letter lo, zeros included, or one row by d.  The per-entry lookups
-index it and count zero off it.
+lowest letter lo, zeros included, or one row by d.  A count is read by
+indexing the rows of its n, which hold the table's whole domain.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def _grown_row(memo: dict, n: int, base, step):
     return memo[n]
 
 
-def _first_row(n: int) -> list[list[int]]:
+def first_row(n: int) -> list[list[int]]:
     """Row n of the first-letter triangle, [] for n < 1 (never stored).  The second letter
     i of the standardized tail lies below j (a descent) or not, so A(m, d, j) = sum_{i<j}
     A(m-1, d-1, i) + sum_{i>=j} A(m-1, d, i): a running sum over j from sum_i A(m-1, d, i)."""
@@ -52,10 +52,10 @@ def eulerian_first(n: int, d: int, j: int) -> int:
     """Permutations of length n with d descents and first letter j; 0 off the table."""
     if n < 1 or not 0 <= d <= n - 1 or not 1 <= j <= n:
         return 0
-    return _first_row(n)[d][j - 1]
+    return first_row(n)[d][j - 1]
 
 
-def _eulerian_row(n: int) -> tuple[int, ...]:
+def eulerian_row(n: int) -> tuple[int, ...]:
     # A(m, d) = (d+1) A(m-1, d) + (m-d) A(m-1, d-1); row 0 is row 1, (1,)
     return _grown_row(_EULERIAN_ROWS, max(n, 1), (1,), lambda row, m: tuple(
         (d + 1) * b + (m - d) * a for d, (a, b) in enumerate(zip((0,) + row, row + (0,)))))
@@ -67,22 +67,15 @@ def eulerian(n: int, d: int) -> int:
     """Eulerian number: permutations of length n with d descents; eulerian(0, 0) = 1."""
     if n < 0 or d < 0 or d >= max(n, 1):
         return 0
-    return _eulerian_row(n)[d]
+    return eulerian_row(n)[d]
 
 
-def _u_row(n: int) -> list[list[int]]:
-    # row n of U, entry [d][j - 1] for d = 0..n; rows[d + 1] = A(n, d, .)
-    rows = [[0] * n] + _first_row(n) + [[0] * n]
+def u_row(n: int) -> list[list[int]]:
+    """Row n of U, entry [d][j - 1] for d = 0..n: permutations of length n with
+    first letter j and d-1 descents or d ascents, A(n, d-1, j) + A(n, n-d-1, j);
+    symmetric under d <-> n-d."""
+    rows = [[0] * n] + first_row(n) + [[0] * n]     # rows[d + 1] = A(n, d, .)
     return [[a + b for a, b in zip(rows[d], rows[n - d])] for d in range(n + 1)]
-
-
-def u_count(n: int, d: int, j: int) -> int:
-    """Permutations of length n with first letter j and d-1 descents or n-d-1
-    ascents, A(n, d-1, j) + A(n, n-d-1, j); symmetric under d <-> n-d."""
-    if n < 1 or not 0 <= d <= n or not 1 <= j <= n:
-        return 0
-    row = _first_row(n)
-    return sum(row[e][j - 1] for e in (d - 1, n - d - 1) if 0 <= e < n)
 
 
 def _pack(cs, wb: int) -> int:
@@ -107,7 +100,7 @@ def _factor_rows(n: int, rest, odd: bool) -> list[list[int]]:
     wb = (2 * factorial(n)).bit_length() // 8 + 1     # at least one spare bit
     acc = [0] * (n - 2)
     for l in range(1, n - 1, 1 + odd):
-        cols = [_pack(c, wb) for c in zip(*_u_row(l))]   # field k of column u: U(l, k, u+1)
+        cols = [_pack(c, wb) for c in zip(*u_row(l))]   # field k of column u: U(l, k, u+1)
         q = _pack((0,) + rest(n - l - 2), wb)     # n and its descent shift by one
         mask = (1 << 8 * wb * ((l + 1) // 2 if odd else l + 1)) - 1
         for j in range(2, n):
@@ -119,43 +112,31 @@ def _factor_rows(n: int, rest, odd: bool) -> list[list[int]]:
 
 
 @lru_cache(maxsize=None)
-def _e_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """The d-major rows of E: _factor_rows and e_count_rec's boundary terms."""
-    rows = _factor_rows(n, _eulerian_row, False)
-    for d, r in enumerate(_first_row(n - 2)):
-        rows[d + 1] = list(map(add, rows[d + 1], r))
-        rows[d + 2] = list(map(sub, rows[d + 2], r))
-    return tuple(map(tuple, rows))
-
-
-def e_count_rec(n: int, d: int, j: int) -> int:
-    """Permutations of length n with d descents having 1nj or jn1 as a factor.
+def e_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The d-major rows, [d][j - 2] for j = 2..n-1, of E: permutations of
+    length n with d descents having 1nj or jn1 as a factor.
 
     Splits the word at the factor: the length-l piece containing j, reversed
     and standardized, becomes a symmetrized first-letter count over a chosen
     letter set (the weights W_l of _factor_rows), while the other piece is a
     plain descent count.  Two boundary terms handle the word starting with 1nj
     and cancel the double count:  E(n, d, j) = sum W_l[k] A(n-l-2, d-k-1) +
-    A(n-2, d-1, j-1) - A(n-2, d-2, j-1), read from the rows of _e_rows(n).
+    A(n-2, d-1, j-1) - A(n-2, d-2, j-1).
     """
-    if not 2 <= j <= n - 1 or not 0 <= d <= n - 1:
-        return 0
-    return _e_rows(n)[d][j - 2]
+    rows = _factor_rows(n, eulerian_row, False)
+    for d, r in enumerate(first_row(n - 2)):
+        rows[d + 1] = list(map(add, rows[d + 1], r))
+        rows[d + 2] = list(map(sub, rows[d + 2], r))
+    return tuple(map(tuple, rows))
 
 
-def _l_row(n: int) -> tuple[int, ...]:
+def l_row(n: int) -> tuple[int, ...]:
     """Entry d, 2d <= n - 1, counts the full n-cycles on [n] with M = d, n odd.
     For n > 1 it is twice A(n-1, d-1): dropping n from the cycle word leaves
     d-1 or n-d-1 descents, two disjoint cases for odd n.  All 0 for n < 1."""
     if n % 2 == 0:
         raise ValueError(f"cycle length must be odd, got {n}")
-    return (int(n == 1),) + tuple(2 * a for a in _eulerian_row(n - 1)[:n // 2])
-
-
-def l_count(n: int, d: int) -> int:
-    """Full n-cycles on [n] whose M statistic is d; n must be odd."""
-    row = _l_row(n)
-    return row[d] if 0 <= d < len(row) else 0
+    return (int(n == 1),) + tuple(2 * a for a in eulerian_row(n - 1)[:n // 2])
 
 
 def double_factorial(n: int) -> int:
@@ -176,14 +157,13 @@ def ballot_series(order: int) -> MultiSeries:
     """EGF of ballot permutations refined by descents: exp of the odd-cycle
     series, the sum over odd n of l(n, d) t^d x^n / n!."""
     return series.exp_series(series.egf(order, {
-        (d, n, 0, 0): v for n in range(1, order + 1, 2) for d, v in enumerate(_l_row(n))}))
+        (d, n, 0, 0): v for n in range(1, order + 1, 2) for d, v in enumerate(l_row(n))}))
 
 
 def ballot_desc_row(n: int) -> tuple[int, ...]:
     """Entry d < max(n, 1): ballot permutations of length n with d descents,
     read from the exponential closed form."""
-    b = ballot_series(n)
-    return tuple(series.extract_egf(b, n, d) for d in range(max(n, 1)))
+    return tuple(series.egf_counts(ballot_series(n), n, range(max(n, 1))))
 
 
 @lru_cache(maxsize=None)
@@ -194,7 +174,7 @@ def _odd_row(m: int) -> tuple[int, ...]:
     a(m, D) = sum C(m-1, nu-1) l(nu, delta) a(m-nu, D-delta)."""
     row = [int(m == 0)] + [0] * (m // 2)
     for nu in range(1, m + 1, 2):
-        for delta, l in enumerate(_l_row(nu)):
+        for delta, l in enumerate(l_row(nu)):
             if lv := comb(m - 1, nu - 1) * l:
                 for rest, v in enumerate(_odd_row(m - nu)):
                     row[delta + rest] += lv * v
@@ -202,14 +182,10 @@ def _odd_row(m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _p_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """The d-major rows of p."""
-    return tuple(map(tuple, _factor_rows(n, _odd_row, True)))
-
-
-def p_count_partition(n: int, d: int, j: int) -> int:
-    """Odd order permutations of [n] with M = d and cyclic factor 1nj, by the
-    partition sum over the cycle through n and the cycle type of the rest.
+def p_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The d-major rows, [d][j - 2] for j = 2..n-1, of p: odd order permutations
+    of [n] with M = d and cyclic factor 1nj, by the partition sum over the
+    cycle through n and the cycle type of the rest.
 
     The cycle through the letters 1, n, j has odd length m1 + m2 + 3, where m1
     of its other letters lie below j and m2 above; its arrangements are a
@@ -217,33 +193,34 @@ def p_count_partition(n: int, d: int, j: int) -> int:
     in every way that spends the leftover M.  The rest of that cycle read from
     j is the piece of _factor_rows with l = m1 + m2 + 1, of which only odd l
     and the low half 2k < l count cycle arrangements:  p(n, d, j) = sum
-    W_l[k] a(n-l-2, d-k-1), read from the rows of _p_rows(n).
+    W_l[k] a(n-l-2, d-k-1).
     """
-    if not 2 <= j <= n - 1 or not 0 <= d <= n - 1:
-        return 0
-    return _p_rows(n)[d][j - 2]
+    return tuple(map(tuple, _factor_rows(n, _odd_row, True)))
 
 
 class SeriesCatalog(NamedTuple):
     """Every closed-form generating series, built once per truncation order.
 
-    The note in parentheses names the extraction that recovers the counts.
+    The note in parentheses names the slice reader of `series` that recovers
+    the counts.
 
     eulerian_egf      sum over n >= 0 of the descent polynomials times x^n/n!
-                      (extract_egf)
-    eulerian_gf       the same without the constant term          (extract_egf)
-    first_letter_gf   Eulerian counts refined by first letter     (extract_first)
-    first_sym_gf      symmetrized first-letter count: d-1 descents or n-d-1
-                      ascents                                     (extract_first)
+                      (egf_counts)
+    eulerian_gf       the same without the constant term          (egf_counts)
+    first_letter_gf   Eulerian counts refined by first letter
+                      (letter_counts, lo = 1)
+    first_sym_gf      symmetrized first-letter count: d-1 descents or d
+                      ascents                        (letter_counts, lo = 1)
     first_sym_odd_gf  its odd-length, low-descent (2d <= n-1) part
-    factor_gf         permutations with 1nj or jn1 as a factor    (extract_factor)
-    ballot_gf         ballot permutations by descents             (extract_egf)
+    factor_gf         permutations with 1nj or jn1 as a factor
+                      (letter_counts, lo = 2)
+    ballot_gf         ballot permutations by descents             (egf_counts)
     cyclic_factor_gf  odd order permutations with cyclic factor 1nj
-                      (extract_factor)
+                      (letter_counts, lo = 2)
     ballot_factor_gf  ballot permutations with factor 1nj or jn1; twice the
                       previous entry
     pair_factor_gf    odd order with cyclic factor inj, neighbors tracked as
-                      y^i z^j                                     (extract_quad)
+                      y^i z^j                                    (pair_counts)
     """
 
     order: int
@@ -319,7 +296,7 @@ def build_catalog(order: int) -> SeriesCatalog:
 
 # taken here, so that clear_caches reaches each cache even while a caller has
 # put a wrapper in place of the module's name
-_CACHED = (eulerian_first, eulerian, _e_rows, _odd_row, _p_rows, build_catalog)
+_CACHED = (eulerian_first, eulerian, e_rows, _odd_row, p_rows, build_catalog)
 
 
 def clear_caches() -> None:

@@ -347,27 +347,17 @@ def _counts(s: MultiSeries, n: int, ds, cols: list[tuple[int, int, int]]) -> lis
     return [[q for q, _ in row] for row in rows]
 
 
+def egf_counts(s: MultiSeries, n: int, ds) -> list[int]:
+    """The counts at t^d x^n, d in ds, under the exponential weight n!: one row by d."""
+    return [row[0] for row in _counts(s, n, ds, [(0, 0, factorial(n))])]
+
+
 def letter_counts(s: MultiSeries, n: int, ds, js, lo: int) -> list[list[int]]:
     """Rows d in ds of the counts at t^d x^n y^j, j in js, under the weight (j-lo)! (n+1-lo-j)!:
     the first-letter weight at lo = 1 and the factor weight at lo = 2."""
     if not all(lo <= j <= n + 1 - lo for j in js):
         raise ValueError(f"the weight needs {lo} <= j <= {n + 1 - lo} at n = {n}, got j in {js}")
     return _counts(s, n, ds, [(j, 0, factorial(j - lo) * factorial(n + 1 - lo - j)) for j in js])
-
-
-def extract_egf(s: MultiSeries, n: int, d: int) -> int:
-    """Count at t^d x^n under the exponential weight n!."""
-    return _counts(s, n, [d], [(0, 0, factorial(n))])[0][0]
-
-
-def extract_first(s: MultiSeries, n: int, d: int, j: int) -> int:
-    """Count at t^d x^n y^j under the first-letter weight (j-1)! (n-j)!."""
-    return letter_counts(s, n, [d], [j], 1)[0][0]
-
-
-def extract_factor(s: MultiSeries, n: int, d: int, j: int) -> int:
-    """Count at t^d x^n y^j under the factor weight (j-2)! (n-j-1)!."""
-    return letter_counts(s, n, [d], [j], 2)[0][0]
 
 
 def pair_counts(s: MultiSeries, n: int, ds, pairs) -> list[list[int]]:
@@ -377,11 +367,6 @@ def pair_counts(s: MultiSeries, n: int, ds, pairs) -> list[list[int]]:
         raise ValueError(f"pair weight needs 1 <= i < j <= n-1 at n = {n}, got {pairs}")
     return _counts(s, n, ds, [(i, j, factorial(j - i - 1) * factorial(n - j + i - 2))
                               for i, j in pairs])
-
-
-def extract_quad(s: MultiSeries, n: int, d: int, i: int, j: int) -> int:
-    """Count at t^d x^n y^i z^j under the pair weight (j-i-1)! (n-j+i-2)!."""
-    return pair_counts(s, n, [d], [(i, j)])[0][0]
 
 
 def first_difference(a: MultiSeries, b: MultiSeries):

@@ -112,8 +112,7 @@ def _check(name: str, order: Callable[..., int] = lambda cat, *_, **__: cat.orde
 def check_ballot_totals(cat: SeriesCatalog) -> Iterator[Stage]:
     """Row sums of the exponential ballot series match the double-factorial product."""
     yield _first_mismatch(
-        ((n,), sum(series.extract_egf(cat.ballot_gf, n, d)
-                   for d in range(max(1, (n - 1) // 2 + 1))),
+        ((n,), sum(series.egf_counts(cat.ballot_gf, n, range(max(1, (n - 1) // 2 + 1)))),
          counts.ballot_total(n))
         for n in range(cat.order))
 
@@ -135,7 +134,7 @@ def check_first_letter_gf(cat: SeriesCatalog) -> Iterator[Stage]:
     collapses to the plain Eulerian series, and that series equals the
     Eulerian recursion."""
     first = cat.first_letter_gf
-    yield from (_grid(first, n, n, 1, counts._first_row(n)) for n in range(1, cat.order + 1))
+    yield from (_grid(first, n, n, 1, counts.first_row(n)) for n in range(1, cat.order + 1))
 
     # y dA/dy - A = xy dA/dx - y^2 dA/dy + t xy A - xy A, exact one order
     # below the catalog order because d/dx consumes a slice
@@ -154,8 +153,10 @@ def check_first_letter_gf(cat: SeriesCatalog) -> Iterator[Stage]:
     # the product above drops the top slice of the Eulerian EGF; the
     # Eulerian recursion reads every slice
     yield _first_mismatch(
-        ((n, d), series.extract_egf(cat.eulerian_egf, n, d), counts._eulerian_row(n)[d])
-        for n in range(cat.order + 1) for d in range(max(1, n)))
+        ((n, d), got, want) for n in range(cat.order + 1)
+        for d, (got, want) in enumerate(zip(
+            series.egf_counts(cat.eulerian_egf, n, range(max(1, n))), counts.eulerian_row(n),
+            strict=True)))
 
 
 @_check("symmetrized_first_letter")
@@ -164,7 +165,7 @@ def check_symmetrized_first(cat: SeriesCatalog) -> Iterator[Stage]:
     Eulerian formula, and the low-descent odd part together with its
     t-reversal reconstructs the odd-x slice."""
     sym, low = cat.first_sym_gf, cat.first_sym_odd_gf
-    yield from (_grid(sym, n, n + 1, 1, counts._u_row(n)) for n in range(1, cat.order + 1))
+    yield from (_grid(sym, n, n + 1, 1, counts.u_row(n)) for n in range(1, cat.order + 1))
     yield _same(low + series.t_reverse(low), series.select(sym, lambda m: m[1] % 2))
     yield _support(low, lambda m: m[1] % 2 == 0 or 2 * m[0] > m[1] - 1)
 
@@ -174,10 +175,10 @@ def check_factor_counts(cat: SeriesCatalog, n_max_oracle: int) -> Iterator[Stage
     """Permutations with a factor 1nj or jn1: closed form, block recursion and
     enumeration agree entrywise, enumeration for n <= n_max_oracle at any order."""
     factor = cat.factor_gf
-    yield from (_grid(factor, n, n, 2, counts._e_rows(n)) for n in range(3, cat.order + 1))
+    yield from (_grid(factor, n, n, 2, counts.e_rows(n)) for n in range(3, cat.order + 1))
     yield _support(factor, lambda m: not 2 <= m[2] <= m[1] - 1)
     for n in range(3, n_max_oracle + 1):
-        table, rows = oracle.oracle_E(n), counts._e_rows(n)
+        table, rows = oracle.oracle_E(n), counts.e_rows(n)
         yield _first_mismatch(((n, d, j), rows[d][j - 2], table[(d, j)])
                               for d in range(n) for j in range(2, n))
 
@@ -207,7 +208,7 @@ def check_ballot_cyclic_factor(cat: SeriesCatalog, n_max_oracle: int) -> Iterato
         yield _first_mismatch(
             ((n, d, i, j), bt[(d, i, j)] + bt[(d, j, i)], 2 * pt[(d, i, j)])
             for d in range(n) for i in range(1, n - 1) for j in range(i + 1, n))
-    yield from (_grid(cat.cyclic_factor_gf, n, n, 2, counts._p_rows(n))
+    yield from (_grid(cat.cyclic_factor_gf, n, n, 2, counts.p_rows(n))
                 for n in range(3, cat.order + 1))
     one = series.one(cat.order)
     t = series.monomial(cat.order, 1, e_t=1)
@@ -302,5 +303,5 @@ def check_oeis_eulerian(entries: list[tuple[int, int, int, int]]) -> Iterator[St
     """Compare every read_bfile line with the Eulerian recursion, in file order,
     building only the rows the file names.  The order is the deepest row, 0 for
     a file with no line, which compares nothing and does not pass."""
-    yield _first_mismatch(((k, n, d), counts._eulerian_row(n)[d], value)
+    yield _first_mismatch(((k, n, d), counts.eulerian_row(n)[d], value)
                           for k, n, d, value in entries)

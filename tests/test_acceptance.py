@@ -47,10 +47,9 @@ def test_criterion_03_first_letter_three_way_and_pde():
     ok = report.passed
     for n in range(1, 9):
         t = oracle.oracle_eulerian_first(n)
-        for d in range(n):
-            for j in range(1, n + 1):
-                ok = ok and (counts.eulerian_first(n, d, j) == t[(d, j)]
-                             == series.extract_first(cat.first_letter_gf, n, d, j))
+        brute = [[t[(d, j)] for j in range(1, n + 1)] for d in range(n)]
+        ok = ok and (counts.first_row(n) == brute == series.letter_counts(
+            cat.first_letter_gf, n, range(n), range(1, n + 1), 1))
     elapsed = time.perf_counter() - start
     _certify(3, "first-letter counts: series = recursion = brute force + PDE", ok)
     _within(30, elapsed)
@@ -61,10 +60,8 @@ def test_criterion_04_symmetrized_first_letter_to_10():
     report = verify.check_symmetrized_first(cat)
     ok = report.passed
     for n in range(1, 11):
-        for d in range(n + 1):
-            for j in range(1, n + 1):
-                ok = ok and (series.extract_first(cat.first_sym_gf, n, d, j)
-                             == counts.u_count(n, d, j))
+        ok = ok and (series.letter_counts(cat.first_sym_gf, n, range(n + 1), range(1, n + 1), 1)
+                     == counts.u_row(n))
     _certify(4, "symmetrized first-letter series and its odd low half", ok)
 
 
@@ -88,11 +85,9 @@ def test_criterion_07_partition_sum_three_way_to_7():
     ok = True
     for n in range(3, 8):
         t = oracle.oracle_p_cyclic(n)
-        for d in range(n):
-            for j in range(2, n):
-                ok = ok and (counts.p_count_partition(n, d, j)
-                             == series.extract_factor(cat.cyclic_factor_gf, n, d, j)
-                             == t[(d, 1, j)])
+        brute = [[t[(d, 1, j)] for j in range(2, n)] for d in range(n)]
+        ok = ok and (list(map(list, counts.p_rows(n))) == brute == series.letter_counts(
+            cat.cyclic_factor_gf, n, range(n), range(2, n), 2))
     _certify(7, "cyclic factor counts: partition sum = series = oracle, n <= 7", ok)
 
 

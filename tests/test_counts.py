@@ -10,9 +10,8 @@ import pytest
 
 from ballotperm import cli, counts, oracle, series, verify
 from ballotperm.counts import (ballot_desc_row, ballot_series, ballot_total,
-                               build_catalog, double_factorial, e_count_rec,
-                               eulerian, eulerian_first,
-                               l_count, p_count_partition, u_count)
+                               build_catalog, double_factorial, e_rows, eulerian,
+                               eulerian_first, first_row, l_row, p_rows, u_row)
 
 GOLDEN = Path(__file__).parent / "data" / "catalog_dump_sha256.json"
 TABLE_GOLDEN = Path(__file__).parent / "data" / "table_sha256.json"
@@ -79,7 +78,7 @@ def test_eulerian_rows_asked_in_any_order():
     # asked for are kept; row 0 is row 1
     counts.clear_caches()
     for n in (300, 20, 0, 60, 1, 50):
-        assert counts._eulerian_row(n) == _eulerian_row_from_row_1(n), n
+        assert counts.eulerian_row(n) == _eulerian_row_from_row_1(n), n
     assert sorted(counts._EULERIAN_ROWS) == [1, 20, 50, 60, 300]
 
 
@@ -99,57 +98,42 @@ def test_eulerian_explicit_agrees():
             assert eulerian_explicit(n, d) == eulerian(n, d), (n, d)
 
 
-def test_u_count():
-    assert u_count(3, 1, 1) == 2
-    assert u_count(1, 0, 1) == 1
-    for n in range(1, 9):
-        for d in range(n + 1):
-            for j in range(1, n + 1):
-                assert u_count(n, d, j) == u_count(n, n - d, j)
+def test_u_row():
+    assert u_row(3)[1][0] == 2
+    assert u_row(1) == [[1], [1]]
+    for n in range(17):
+        rows = u_row(n)
+        # U(n, d, j) = A(n, d-1, j) + A(n, n-d-1, j) is symmetric under d <-> n-d,
+        # and each of its halves counts every permutation once
+        assert rows == rows[::-1], n
+        assert sum(map(sum, rows)) == (2 * factorial(n) if n else 0), n
 
 
-def test_u_count_reads_the_first_letter_row(monkeypatch):
-    # one entry is two entries of row n of A_first, not the whole U row: on the
-    # box of test_table_is_the_rows_of_its_lookup, with _u_row raising
-    rows = [counts._u_row(n) for n in range(17)]
-    want = {(n, d, j): rows[n][d][j - 1] if 0 <= d <= n and 1 <= j <= n else 0
-            for n in range(17) for d in range(-1, n + 2) for j in range(-1, n + 3)}
-
-    def whole_row(n):
-        raise AssertionError(f"u_count built the U row of {n}")
-
-    monkeypatch.setattr(counts, "_u_row", whole_row)
-    assert {key: u_count(*key) for key in want} == want
-    assert sum(want.values()) == sum(2 * factorial(n) for n in range(1, 17))
-
-
-def test_e_count_rec_values():
-    assert e_count_rec(3, 1, 2) == 2
-    assert e_count_rec(4, 1, 2) == 2
+def test_e_rows_values():
+    assert e_rows(3)[1][0] == 2
+    assert e_rows(4)[1][0] == 2
     for n in range(3, 8):
-        for j in range(2, n):
-            assert sum(e_count_rec(n, d, j) for d in range(n)) == 2 * factorial(n - 2)
+        # each j has 2 (n-2)! permutations with 1nj or jn1 as a factor
+        assert [sum(col) for col in zip(*e_rows(n))] == [2 * factorial(n - 2)] * (n - 2), n
 
 
-def test_e_count_rec_vs_oracle():
+def test_e_rows_vs_oracle():
     for n in range(3, 7):
         t = oracle.oracle_E(n)
-        for d in range(n):
-            for j in range(2, n):
-                assert e_count_rec(n, d, j) == t[(d, j)]
+        assert [[t[(d, j)] for j in range(2, n)] for d in range(n)] == list(map(list, e_rows(n)))
 
 
-def test_l_count():
-    assert l_count(1, 0) == 1
-    assert l_count(3, 1) == 2
-    assert l_count(5, 2) == 22
-    assert l_count(3, 0) == 0 and l_count(3, 2) == 0
+def test_l_row():
+    assert l_row(1) == (1,)
+    assert l_row(3) == (0, 2)
+    assert l_row(5) == (0, 2, 22)
     with pytest.raises(ValueError):
-        l_count(4, 1)
+        l_row(4)
     for n in (1, 3, 5, 7):
+        # the full n-cycles number (n-1)!
+        assert sum(l_row(n)) == factorial(n - 1), n
         t = oracle.oracle_l(n)
-        for d in range((n - 1) // 2 + 1):
-            assert l_count(n, d) == t[(d,)]
+        assert list(l_row(n)) == [t[(d,)] for d in range((n - 1) // 2 + 1)], n
 
 
 def test_double_factorial_and_ballot_total():
@@ -198,9 +182,9 @@ def test_ballot_desc_table():
 def _odd_cycle_multisets(m, total_m):
     # reference for counts._odd_row: sum over multisets of
     # (length, M) cycle types, in Fraction, of the exponential formula's terms
-    pairs = [(nu, de, l_count(nu, de))
+    pairs = [(nu, de, l_row(nu)[de])
              for nu in range(m if m % 2 else m - 1, 0, -2)
-             for de in range((nu - 1) // 2, -1, -1) if l_count(nu, de)]
+             for de in range((nu - 1) // 2, -1, -1) if l_row(nu)[de]]
 
     def over_types(idx, m_left, d_left):
         if m_left == 0:
@@ -235,19 +219,18 @@ def test_odd_cycle_arrangements_total_ballot():
         assert sum(counts._odd_row(m)) == ballot_total(m)
 
 
-def test_p_count_partition_values():
-    assert p_count_partition(3, 1, 2) == 1
+def test_p_rows_values():
+    assert p_rows(3) == ((0,), (1,), (0,))
     for n in range(3, 7):
-        for j in range(2, n):
-            assert p_count_partition(n, 0, j) == 0
+        # a cycle through 1, n and j has M >= 1
+        assert not any(p_rows(n)[0]), n
 
 
-def test_p_count_partition_vs_oracle():
+def test_p_rows_vs_oracle():
     for n in range(3, 7):
         t = oracle.oracle_p_cyclic(n)
-        for d in range(n):
-            for j in range(2, n):
-                assert p_count_partition(n, d, j) == t[(d, 1, j)]
+        assert ([[t[(d, 1, j)] for j in range(2, n)] for d in range(n)]
+                == list(map(list, p_rows(n))))
 
 
 @lru_cache(maxsize=None)
@@ -259,7 +242,7 @@ def _piece_weights_by_entry(n, j):
         splits = [(u + 1, comb(j - 2, u) * comb(n - j - 1, l - 1 - u))
                   for u in range(max(0, l + j - n), min(j - 1, l))]
         for k in range(l + 1):
-            if w := sum(c * u_count(l, k, i) for i, c in splits):
+            if w := sum(c * u_row(l)[k][i - 1] for i, c in splits):
                 out.append((l, k, w))
     return tuple(out)
 
@@ -275,13 +258,13 @@ def _p_count_by_entry(n, d, j):
 
 
 def test_partition_rows_match_the_sums_by_entry():
-    # the rows hold every entry of the per-entry sums, and the indices off
-    # the grid 2 <= j <= n-1, 0 <= d <= n-1 still count zero
+    # the rows hold every entry of the per-entry sums on the grid
+    # 2 <= j <= n-1, 0 <= d <= n-1; ROW_TABLES pins the shape of that grid
     for n in range(17):
-        for d in range(-1, n + 1):
-            for j in range(n + 2):
-                assert e_count_rec(n, d, j) == _e_count_by_entry(n, d, j), (n, d, j)
-                assert p_count_partition(n, d, j) == _p_count_by_entry(n, d, j), (n, d, j)
+        for d in range(n):
+            for j in range(2, n):
+                assert e_rows(n)[d][j - 2] == _e_count_by_entry(n, d, j), (n, d, j)
+                assert p_rows(n)[d][j - 2] == _p_count_by_entry(n, d, j), (n, d, j)
 
 
 def _piece_weights(n, j):
@@ -310,7 +293,7 @@ def _factor_rows_by_lists(n, j):
     e_row, p_row = [0] * n, [0] * n
     weights = _piece_weights(n, j)
     for l, w in enumerate(weights, 1):
-        _add_shifted_product(e_row, w, counts._eulerian_row(n - l - 2))
+        _add_shifted_product(e_row, w, counts.eulerian_row(n - l - 2))
         if l % 2:
             _add_shifted_product(p_row, w[:(l + 1) // 2], counts._odd_row(n - l - 2))
     return e_row, p_row, weights
@@ -331,42 +314,33 @@ def test_packed_rows_match_the_list_route():
                 e_row[d + 1] += a
                 e_row[d + 2] -= a
             # the tables are d-major: column j - 2 holds the d-row of j
-            assert tuple(r[j - 2] for r in counts._e_rows(n)) == tuple(e_row), (n, j)
-            assert tuple(r[j - 2] for r in counts._p_rows(n)) == tuple(p_row), (n, j)
+            assert tuple(r[j - 2] for r in counts.e_rows(n)) == tuple(e_row), (n, j)
+            assert tuple(r[j - 2] for r in counts.p_rows(n)) == tuple(p_row), (n, j)
 
 
 def test_catalog_extraction_routes():
+    # each slice reader recovers the rows of the recursion or of the oracle
     cat = build_catalog(6)
     for n in range(1, 7):
-        for d in range(n):
-            for j in range(1, n + 1):
-                assert (series.extract_first(cat.first_letter_gf, n, d, j)
-                        == eulerian_first(n, d, j))
-    for n in range(1, 7):
-        for d in range(n + 1):
-            for j in range(1, n + 1):
-                assert (series.extract_first(cat.first_sym_gf, n, d, j)
-                        == u_count(n, d, j))
+        assert (series.letter_counts(cat.first_letter_gf, n, range(n), range(1, n + 1), 1)
+                == first_row(n)), n
+        assert (series.letter_counts(cat.first_sym_gf, n, range(n + 1), range(1, n + 1), 1)
+                == u_row(n)), n
     for n in range(3, 7):
-        for d in range(n):
-            for j in range(2, n):
-                assert (series.extract_factor(cat.factor_gf, n, d, j)
-                        == e_count_rec(n, d, j))
-                assert (series.extract_factor(cat.cyclic_factor_gf, n, d, j)
-                        == p_count_partition(n, d, j))
+        for s, rows in ((cat.factor_gf, e_rows), (cat.cyclic_factor_gf, p_rows)):
+            assert (series.letter_counts(s, n, range(n), range(2, n), 2)
+                    == list(map(list, rows(n)))), n
     for n in range(7):
-        for d in range(max(1, (n - 1) // 2 + 1)):
-            assert (series.extract_egf(cat.ballot_gf, n, d)
-                    == oracle.oracle_ballot_desc(n)[(d,)])
+        ds = range(max(1, (n - 1) // 2 + 1))
+        assert (series.egf_counts(cat.ballot_gf, n, ds)
+                == [oracle.oracle_ballot_desc(n)[(d,)] for d in ds]), n
 
 
 def test_first_sym_series_slice_symmetry():
     cat = build_catalog(7)
     for n in range(1, 8):
-        for d in range(n + 1):
-            for j in range(1, n + 1):
-                assert (series.extract_first(cat.first_sym_gf, n, d, j)
-                        == series.extract_first(cat.first_sym_gf, n, n - d, j))
+        rows = series.letter_counts(cat.first_sym_gf, n, range(n + 1), range(1, n + 1), 1)
+        assert rows == rows[::-1], n
 
 
 def test_catalog_structure():
@@ -482,9 +456,9 @@ def test_first_letter_rows_below_one_are_never_kept():
     # row 0 was once stored as [[1]], and later rows grew from it: row 1 came
     # out [[1], [0]] and row 2 with three d-rows
     counts.clear_caches()
-    assert counts._first_row(0) == [] and counts._first_row(-1) == []
-    assert counts._first_row(1) == [[1]]
-    assert counts._first_row(2) == [[1, 0], [0, 1]]
+    assert counts.first_row(0) == [] and counts.first_row(-1) == []
+    assert counts.first_row(1) == [[1]]
+    assert counts.first_row(2) == [[1, 0], [0, 1]]
     assert sorted(counts._FIRST_ROWS) == [1, 2]
     # table at n = 0, then verify, in one process
     counts.clear_caches()
@@ -492,23 +466,24 @@ def test_first_letter_rows_below_one_are_never_kept():
     assert all(r.passed for r in verify.run_all(order=6, n_max_oracle=5))
 
 
-# each fast table stat, its per-entry lookup, and the (rows, columns) the
-# lookup's bounds give its row table; a 1-dimensional table has columns None
+# each fast table stat, its row function, the lowest letter lo of a
+# 2-dimensional table (None for one row by d), and the (rows, columns) of the
+# table's domain
 ROW_TABLES = {
-    "A": (eulerian, lambda n: counts._eulerian_row(n), lambda n: (max(1, n), None)),
-    "A_first": (eulerian_first, lambda n: counts._first_row(n), lambda n: (n, n)),
-    "U": (u_count, lambda n: counts._u_row(n), lambda n: (n + 1, n)),
-    "E": (e_count_rec, lambda n: counts._e_rows(n), lambda n: (n, max(0, n - 2))),
-    "p": (p_count_partition, lambda n: counts._p_rows(n), lambda n: (n, max(0, n - 2))),
-    "l": (l_count, lambda n: counts._l_row(n), lambda n: (n // 2 + 1, None)),
+    "A": (counts.eulerian_row, None, lambda n: (max(1, n), None)),
+    "A_first": (counts.first_row, 1, lambda n: (n, n)),
+    "U": (counts.u_row, 1, lambda n: (n + 1, n)),
+    "E": (counts.e_rows, 2, lambda n: (n, max(0, n - 2))),
+    "p": (counts.p_rows, 2, lambda n: (n, max(0, n - 2))),
+    "l": (counts.l_row, None, lambda n: (n // 2 + 1, None)),
 }
 
 
 @pytest.mark.parametrize("stat", sorted(ROW_TABLES))
 def test_table_is_the_rows_of_its_lookup(stat):
-    # table reads the row table whole; the lookup indexes the same rows, and
-    # counts zero on a box one wider than its domain on every side
-    lookup, rows, shape = ROW_TABLES[stat]
+    # table reads the row table whole, which spans the table's domain: its
+    # nonzero entries in key order, rows[d][j - lo] keyed (d, j)
+    rows, lo, shape = ROW_TABLES[stat]
     for n in range(17):
         if stat == "l" and n % 2 == 0:
             with pytest.raises(ValueError):
@@ -518,22 +493,15 @@ def test_table_is_the_rows_of_its_lookup(stat):
         assert len(rows(n)) == length, (stat, n)
         assert width is None or all(len(r) == width for r in rows(n)), (stat, n)
         if width is None:
-            box = [(d,) for d in range(-1, length + 1)]
+            want = [((d,), v) for d, v in enumerate(rows(n)) if v]
         else:
-            box = [(d, j) for d in range(-1, length + 1) for j in range(-1, n + 3)]
-        want = [(key, v) for key in box if (v := lookup(n, *key))]
+            want = [((d, j), v) for d, r in enumerate(rows(n)) for j, v in enumerate(r, lo) if v]
         assert cli._table_entries(stat, n) == want, (stat, n)
 
 
-def test_commands_call_no_per_entry_lookup(monkeypatch, tmp_path):
-    # the two cached lookups show it in their counters, the others by raising
+def test_commands_call_no_per_entry_lookup(tmp_path):
+    # the two cached per-entry lookups show it in their counters
     counts.clear_caches()
-
-    def called(*args):
-        raise AssertionError(f"per-entry lookup called with {args}")
-
-    for name in ("u_count", "e_count_rec", "p_count_partition", "l_count"):
-        monkeypatch.setattr(counts, name, called)
     out = str(tmp_path / "out")
     for stat in ("A", "A_first", "U", "E", "b", "l", "p"):
         assert cli.main(["table", "--stat", stat, "--n", "13", "--out", out]) == 0, stat

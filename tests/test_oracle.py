@@ -1,6 +1,8 @@
 import ast
 import hashlib
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 from collections import Counter
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import ballotperm
 from ballotperm import counts, oracle
 from ballotperm.counts import ballot_total
 from ballotperm.oracle import (oracle_E, oracle_b_factor, oracle_ballot_desc,
@@ -107,7 +110,7 @@ def _dfs_odd_cycle_tables(n: int) -> dict[str, dict]:
     predecessor `pred` is known; its successor `succ` is the next letter
     placed, or the start when the cycle closes right after n.  0 means unset.
     """
-    m_counts, p_counts, l_counts = {}, {}, {}
+    m_counts, p_counts, n_cycle_counts = {}, {}, {}
 
     def grow(start, last, length, d, m, rest, pred, succ):
         if length % 2:          # close the cycle here, or grow it further below
@@ -122,13 +125,13 @@ def _dfs_odd_cycle_tables(n: int) -> dict[str, dict]:
                     key = (m_done, pred, succ_done)
                     p_counts[key] = p_counts.get(key, 0) + 1
                 if length == n:
-                    l_counts[m_done,] = l_counts.get((m_done,), 0) + 1
+                    n_cycle_counts[m_done,] = n_cycle_counts.get((m_done,), 0) + 1
         for k, x in enumerate(rest):
             grow(start, x, length + 1, d + (last > x), m, rest[:k] + rest[k + 1:],
                  last if x == n else pred, x if last == n else succ)
 
     grow(1, 1, 1, 0, 0, tuple(range(2, n + 1)), 0, 0)
-    return {"M": m_counts, "p": p_counts, "l": l_counts}
+    return {"M": m_counts, "p": p_counts, "l": n_cycle_counts}
 
 
 def test_count_table_access():
@@ -353,6 +356,19 @@ def test_oracle_reads_no_other_route():
     # whether as `from .oracle import ...` or as `from . import oracle`
     for _, name, names in _imports(counts):
         assert "oracle" not in [*(name or "").split("."), *names], (name, names)
+
+
+def test_every_module_stays_on_the_standard_library():
+    # the import scan above, over the package and each module in it: the
+    # standard library or ballotperm only
+    modules = [ballotperm] + [importlib.import_module(f"ballotperm.{info.name}")
+                              for info in pkgutil.iter_modules(ballotperm.__path__)]
+    assert oracle in modules and counts in modules
+    for module in modules:
+        for level, name, _ in _imports(module):
+            top = (name or "").split(".")[0]
+            assert level > 0 or top == "ballotperm" or top in sys.stdlib_module_names, (
+                module.__name__, name)
 
 
 def _modules_after(statement: str) -> set[str]:

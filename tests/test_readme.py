@@ -30,7 +30,9 @@ def test_library_tour_values():
             continue
         assert eval(code, namespace) == want, line
         checked.append(want)
-    assert checked == [11, 2, 2, 2, 1, 45, 4, 22, True]
+    assert checked == [(1, 11, 11, 1), [[1, 0, 0], [1, 2, 1], [0, 0, 1]], [2, 2, 1],
+                       ((0, 0), (2, 2), (2, 2), (0, 0)), (1, 1, 2), (0, 2, 22), 45,
+                       [4, 4, 2, 1], [1, 22, 22], True]
 
 
 def test_command_line_examples(tmp_path, monkeypatch, capsys):

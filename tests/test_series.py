@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ballotperm import series
-from ballotperm.series import (EXP_LIMIT, MultiSeries, d_dx, d_dy, dump, exp_series,
-                               exp_tm1, extract_egf, extract_factor,
-                               extract_first, extract_quad, first_difference,
-                               geom, geom_yz_lower, map_exponents, mirror_y_with_z,
-                               monomial, n_monomials, one, project_half, q_of,
-                               select, subst_x_times, t_reverse, y_to_z, zero)
+from ballotperm.series import (EXP_LIMIT, MultiSeries, d_dx, d_dy, dump, egf_counts,
+                               exp_series, exp_tm1, first_difference, geom,
+                               geom_yz_lower, letter_counts, map_exponents,
+                               mirror_y_with_z, monomial, n_monomials, one,
+                               pair_counts, project_half, q_of, select,
+                               subst_x_times, t_reverse, y_to_z, zero)
 
 ORDER = 5
 
@@ -242,34 +241,37 @@ def test_derivatives():
 
 def test_extract_weights():
     egf = geom(q_of(x_(6))) - one(6)
-    assert extract_egf(egf, 4, 1) == 11
-    assert extract_egf(egf, 0, 1) == 0
+    assert egf_counts(egf, 4, range(4)) == [1, 11, 11, 1]
+    assert egf_counts(egf, 0, range(2)) == [0, 0]
     f = monomial(6, Fraction(2, 1), e_t=1, e_x=3, e_y=2)
-    assert extract_first(f, 3, 1, 2) == 2 * 1 * 1
-    assert extract_factor(f, 3, 1, 2) == 2
+    # the first-letter weight 1! 1! and the factor weight 0! 0! at j = 2
+    assert letter_counts(f, 3, range(3), range(1, 4), 1) == [[0, 0, 0], [0, 2, 0], [0, 0, 0]]
+    assert letter_counts(f, 3, range(3), [2], 2) == [[0], [2], [0]]
     q4 = monomial(6, Fraction(2), e_t=1, e_x=3, e_y=1, e_z=2)
-    assert extract_quad(q4, 3, 1, 1, 2) == 2
+    assert pair_counts(q4, 3, range(2), [(1, 2)]) == [[0], [2]]
     q5 = q4 + monomial(6, Fraction(3), e_t=2, e_x=5, e_y=3, e_z=4)   # weight 0! 2!
-    assert series.pair_counts(q5, 5, range(3), [(1, 3), (3, 4)]) == [[0, 0], [0, 0], [0, 6]]
+    assert pair_counts(q5, 5, range(3), [(1, 3), (3, 4)]) == [[0, 0], [0, 0], [0, 6]]
 
 
 def test_extract_errors():
     s = monomial(3, Fraction(1, 6), e_x=3, e_y=1)
     with pytest.raises(ValueError, match="not an integer"):
-        extract_first(s, 3, 0, 1)  # 1/3! * 0! 2! = 2/6 is not a count
-    with pytest.raises(ValueError):
-        extract_egf(s, 9, 0)  # beyond truncation
-    with pytest.raises(ValueError):
-        extract_first(s, 1, 0, 2)
-    with pytest.raises(ValueError):
-        extract_factor(s, 3, 0, 1)
-    with pytest.raises(ValueError):
-        extract_quad(s, 3, 0, 2, 1)
+        letter_counts(s, 3, [0], [1], 1)  # 1/3! * 0! 2! = 2/6 is not a count
+    for read in (lambda n: egf_counts(s, n, [0]), lambda n: letter_counts(s, n, [0], [1], 1),
+                 lambda n: pair_counts(s, n, [0], [(1, 2)])):
+        with pytest.raises(ValueError, match="beyond the truncation order"):
+            read(4)
+    with pytest.raises(ValueError, match="the weight needs"):
+        letter_counts(s, 1, [0], [2], 1)
+    with pytest.raises(ValueError, match="the weight needs"):
+        letter_counts(s, 3, [0], [1], 2)
+    with pytest.raises(ValueError, match="pair weight needs"):
+        pair_counts(s, 3, [0], [(2, 1)])
     for n in range(2, ORDER + 1):
         first = monomial(ORDER, Fraction(1, factorial(n)), e_t=1, e_x=n, e_y=1)
         with pytest.raises(ValueError, match="not an integer"):
-            extract_first(first, n, 1, 1)  # 1/n! * 0! (n-1)! = 1/n
-        assert extract_first(first * n, n, 1, 1) == 1
+            letter_counts(first, n, [1], [1], 1)  # 1/n! * 0! (n-1)! = 1/n
+        assert letter_counts(first * n, n, [1], [1], 1) == [[1]]
 
 
 def test_first_difference():

@@ -222,7 +222,7 @@ def test_recursion_mutation_is_caught():
     # the first-letter grid reads whole triangle rows; bump A(4, 1, 2) in the
     # row it reads
     counts.clear_caches()
-    real = counts._first_row
+    real = counts.first_row
 
     def warped(n):
         rows = [list(row) for row in real(n)]
@@ -232,12 +232,12 @@ def test_recursion_mutation_is_caught():
 
     # patch by hand: everything memoized downstream must be dropped afterwards
     try:
-        counts._first_row = warped
+        counts.first_row = warped
         report = verify.check_first_letter_gf(counts.build_catalog(6))
         assert not report.passed
         assert report.first_discrepancy[0] == (4, 1, 2)
     finally:
-        counts._first_row = real
+        counts.first_row = real
         counts.clear_caches()
 
 
